@@ -35,7 +35,7 @@
 // thread that owns them. The exposition covers the service's own ingest
 // counters (xsp_ingested_spans_total and friends), one series per open
 // producer connection (bytes/frames/spans, labeled by accept id), the
-// producer-health counters carried by wire v3 Heartbeat frames (publish/
+// producer-health counters carried by wire Heartbeat frames (publish/
 // drop/outbox/reconnects as the *producer* counts them, plus heartbeat
 // age and a staleness flag), and finally whatever registry the embedding
 // daemon wired in (the sink's own xsp_trace_* series).
@@ -79,8 +79,8 @@ struct CollectorOptions {
   metrics::Registry* registry = nullptr;
   /// A producer whose heartbeats stop for longer than this while its
   /// connection stays open is flagged stale (xsp_producer_stale = 1).
-  /// Applies only to connections that have sent at least one heartbeat —
-  /// v1/v2 producers never do and are never flagged. <= 0 disables.
+  /// Applies only to connections that have sent at least one heartbeat.
+  /// <= 0 disables.
   int heartbeat_stale_ms = 5000;
 };
 
@@ -97,7 +97,7 @@ struct CollectorStats {
   std::uint64_t footers_seen = 0;
   /// Wire frames fully parsed across all connections (all types).
   std::uint64_t frames_parsed = 0;
-  /// Wire v3 Heartbeat frames ingested (producer liveness beacons).
+  /// Wire Heartbeat frames ingested (producer liveness beacons).
   std::uint64_t heartbeats_seen = 0;
   /// HTTP requests answered on the metrics endpoint (any status).
   std::uint64_t http_requests = 0;

@@ -38,12 +38,7 @@ struct CollectorService::Connection {
   std::unordered_map<SpanId, SpanId> span_remap;
   std::unordered_map<std::uint64_t, std::uint64_t> corr_remap;
   trace::SpanBatch scratch;
-  /// Stream format version from the validated header; sizes the footer
-  /// frame (wire::footer_size) so v1 producers keep working against a v2
-  /// daemon.
-  std::uint16_t version = wire::kVersion;
   bool got_header = false;
-  bool done = false;     ///< footer seen; only EOF is acceptable after
   bool errored = false;  ///< hostile input or mid-frame disconnect
 
   // --- self-metrics (per-connection series on /metrics) ---
@@ -51,11 +46,8 @@ struct CollectorService::Connection {
   std::uint64_t bytes = 0;
   std::uint64_t frames = 0;
   std::uint64_t spans = 0;
-  /// Latest producer heartbeat (wire v3). got_heartbeat gates the
-  /// xsp_producer_* series: v1/v2 producers never send one and expose
-  /// nothing rather than zeros.
-  bool got_heartbeat = false;
-  wire::Heartbeat hb{};
+  /// Arrival time of the latest heartbeat (the decoder keeps its
+  /// contents); the staleness clock of the xsp_producer_* series.
   Clock::time_point last_hb{};
 
   explicit Connection(Socket s) : sock(std::move(s)) {}
@@ -233,16 +225,13 @@ void CollectorService::parse_frames(Connection& conn) {
       if (data.size() < sizeof(wire::Header)) return;
       wire::Header header{};
       std::memcpy(&header, data.data(), sizeof header);
-      conn.version = trace::WireDecoder::validate_header(header);
-      // A v1–v3 producer may stream the legacy (pre-inline-tag) span
-      // record; the decoder widens each one during batch decode.
-      conn.decoder.set_span_size(header.span_size);
+      trace::WireDecoder::validate_header(header);
       conn.rx.consume(sizeof header);
       conn.got_header = true;
       continue;
     }
     if (data.size() < sizeof(wire::FrameHeader)) return;
-    if (conn.done) {
+    if (conn.decoder.saw_footer()) {
       // Frames after the footer: corruption or a confused client. EOF is
       // the only valid continuation.
       throw WireError("xsp collector: data after footer frame");
@@ -272,30 +261,19 @@ void CollectorService::parse_frames(Connection& conn) {
         break;
       }
       case wire::FrameType::kHeartbeat: {
-        // checked_heartbeat enforces the v3 gate: a heartbeat inside a
-        // stream that declared v1/v2 is a protocol violation, same as any
-        // malformed frame.
-        conn.hb = wire::checked_heartbeat(payload, conn.version);
-        conn.got_heartbeat = true;
+        conn.decoder.decode_heartbeat(payload);
         conn.last_hb = Clock::now();
         std::lock_guard lk(stats_mu_);
         ++stats_.heartbeats_seen;
         break;
       }
       case wire::FrameType::kFooter: {
-        // Older producers send shorter footer prefixes (11 fields for
-        // v1, 13 for v2/v3); the later-version fields decode as zero
-        // (see BinaryReader's matching rule).
-        if (payload_size != wire::footer_size(conn.version))
-          throw WireError("xsp collector: footer payload length mismatch");
-        wire::Footer footer{};
-        std::memcpy(&footer, payload.data(), payload_size);
-        conn.decoder.set_footer(footer);
-        conn.done = true;
+        conn.decoder.decode_footer(payload);
+        const trace::TraceMeta& meta = conn.decoder.meta();
         std::lock_guard lk(stats_mu_);
         ++stats_.footers_seen;
-        stats_.producer_dropped_spans += footer.remote_dropped_spans;
-        stats_.producer_reconnects += footer.remote_reconnects;
+        stats_.producer_dropped_spans += meta.remote_dropped_spans;
+        stats_.producer_reconnects += meta.remote_reconnects;
         break;
       }
       default:
@@ -529,11 +507,11 @@ void CollectorService::build_metrics_text(std::string& out) {
       append_sample_line(out, pc.name, conn_label(conn->id), (*conn).*pc.field);
   }
 
-  // Producer-health series from wire v3 heartbeats: the producer's *own*
+  // Producer-health series from heartbeats: the producer's *own*
   // accounting (published/dropped/outbox) surfaced while the stream is
   // live, plus how long ago the last beacon arrived. Only connections
-  // that have heartbeated expose these — a v1/v2 producer is silent, not
-  // flatlined at zero.
+  // that have heartbeated expose these — a producer that has not sent
+  // one yet is silent, not flatlined at zero.
   struct PerHb {
     std::string_view name;
     std::string_view help;
@@ -571,16 +549,16 @@ void CollectorService::build_metrics_text(std::string& out) {
   };
   const bool any_hb = [this] {
     for (const auto& conn : conns_)
-      if (conn->got_heartbeat) return true;
+      if (conn->decoder.heartbeats_seen() > 0) return true;
     return false;
   }();
   if (any_hb) {
     for (const PerHb& ph : kPerHb) {
       append_family_header(out, ph.name, ph.help, ph.kind);
       for (const auto& conn : conns_) {
-        if (!conn->got_heartbeat) continue;
+        if (conn->decoder.heartbeats_seen() == 0) continue;
         append_sample_line(out, ph.name, conn_label(conn->id),
-                           conn->hb.*ph.field);
+                           conn->decoder.last_heartbeat().*ph.field);
       }
     }
     const auto now = Clock::now();
@@ -588,7 +566,7 @@ void CollectorService::build_metrics_text(std::string& out) {
                          "Seconds since this producer's last heartbeat",
                          Kind::kGauge);
     for (const auto& conn : conns_) {
-      if (!conn->got_heartbeat) continue;
+      if (conn->decoder.heartbeats_seen() == 0) continue;
       const double age =
           std::chrono::duration<double>(now - conn->last_hb).count();
       append_sample_line(out, "xsp_producer_heartbeat_age_seconds",
@@ -599,7 +577,7 @@ void CollectorService::build_metrics_text(std::string& out) {
         "1 when the producer's heartbeats stopped past the staleness bound",
         Kind::kGauge);
     for (const auto& conn : conns_) {
-      if (!conn->got_heartbeat) continue;
+      if (conn->decoder.heartbeats_seen() == 0) continue;
       const bool stale =
           opts_.heartbeat_stale_ms > 0 &&
           now - conn->last_hb >

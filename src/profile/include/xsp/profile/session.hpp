@@ -153,8 +153,15 @@ struct ProfileOptions {
   }
 };
 
-/// The result of one profiled evaluation.
-struct RunTrace {
+/// The result of one profiled evaluation, with the collection telemetry
+/// (trace::TraceMeta) of the run it came from. The telemetry is sampled
+/// at the end of the run: dropped_annotations, the slot counters and the
+/// string-table counters from the fleet; sampled_kept/sampled_dropped
+/// are this run's admissions (published == sampled_kept +
+/// sampled_dropped; both 0 without a sampler); remote_dropped_spans and
+/// remote_reconnects are cumulative per session, like the remote sink's
+/// single wire stream.
+struct RunTrace : trace::TraceMeta {
   ProfileOptions options;
   trace::Timeline timeline;
   /// Duration of the model-prediction span *in this run* (includes the
@@ -162,11 +169,6 @@ struct RunTrace {
   Ns model_latency = 0;
   /// Duration of the whole pipeline (pre-process + predict + post-process).
   Ns pipeline_latency = 0;
-  /// Server-level aggregate of annotations dropped to capacity limits
-  /// during this run (trace fidelity telemetry; 0 means lossless).
-  std::uint64_t dropped_annotations = 0;
-  /// Shards the trace was collected across (for export metadata).
-  std::size_t trace_shards = 1;
   /// Spans written to stream_export_path (0 when streaming was off). This
   /// counts *raw publication* spans, so with GPU tracing it exceeds
   /// timeline.size(): launch/execution pairs stream unmerged and are only
@@ -178,55 +180,12 @@ struct RunTrace {
   /// here. Also surfaced in the span-JSON footer as "export_bytes" and in
   /// the binary footer frame.
   std::uint64_t streamed_bytes = 0;
-  /// Global StringTable growth telemetry sampled at the end of the run:
-  /// distinct interned strings and their approximate resident bytes. The
-  /// table never evicts, so across runs these only grow — the signal a
-  /// long-running multi-model service watches for interned-annotation
-  /// growth (see ROADMAP).
-  std::uint64_t interned_strings = 0;
-  std::uint64_t interned_bytes = 0;
-  /// Producer-slot health of the collection fleet sampled at the end of
-  /// the run: slots currently registered (live producer threads), slots
-  /// retired by thread-exit reclamation over the fleet's lifetime, and
-  /// approximate bytes resident in slots. In a long-running service fed
-  /// by short-lived worker threads, live_slots staying O(live threads)
-  /// while retired_slots tracks cumulative churn is the signal that slot
-  /// reclamation is working (see ROADMAP "Producer-slot reclamation").
-  std::uint64_t live_slots = 0;
-  std::uint64_t retired_slots = 0;
-  std::uint64_t slot_bytes = 0;
-  /// Remote-forwarding telemetry (ProfileOptions::remote_endpoint), all 0
-  /// when no remote sink is attached: spans handed to the RemoteSink over
-  /// the session's lifetime, spans it dropped under backpressure or
-  /// disconnect (accounted, never silent), and reconnects performed.
-  /// Cumulative per session, like the sink's single wire stream.
+  /// Spans handed to the remote sink over the session's lifetime (0 when
+  /// ProfileOptions::remote_endpoint is empty).
   std::uint64_t remote_spans = 0;
-  std::uint64_t remote_dropped_spans = 0;
-  std::uint64_t remote_reconnects = 0;
-  /// Sampling admission accounting for *this run* (ProfileOptions::
-  /// sampling_rate): spans the fleet's sampler admitted / rejected.
-  /// Both 0 when no sampler was attached; with one, every publication
-  /// lands in exactly one bucket — published == sampled_kept +
-  /// sampled_dropped, the invariant the admission tests pin.
-  std::uint64_t sampled_kept = 0;
-  std::uint64_t sampled_dropped = 0;
-  /// Bounded-interning telemetry sampled at the end of the run, alongside
-  /// interned_strings/interned_bytes: the budget in force (0 = unbounded)
-  /// and the global table's *lifetime* count of interns rejected at the
-  /// budget or slot ceiling (monotone across runs, like the table itself).
-  /// A non-zero rejected_interns means some StrIds in the trace resolve
-  /// to the "<interned-cap>" sentinel string.
-  std::uint64_t strtab_budget_bytes = 0;
-  std::uint64_t rejected_interns = 0;
 
   /// Export metadata for to_span_json(timeline, meta).
-  [[nodiscard]] trace::TraceMeta trace_meta() const noexcept {
-    return {dropped_annotations, trace_shards,  interned_strings,
-            interned_bytes,      live_slots,    retired_slots,
-            slot_bytes,          remote_dropped_spans, remote_reconnects,
-            sampled_kept,        sampled_dropped,      strtab_budget_bytes,
-            rejected_interns};
-  }
+  [[nodiscard]] const trace::TraceMeta& trace_meta() const noexcept { return *this; }
 };
 
 /// Point-in-time producer-slot health of a session's collection fleet

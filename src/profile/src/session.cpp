@@ -424,16 +424,15 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
 
   RunTrace result;
   result.options = options;
-  // Merge step: the per-shard batch lists concatenate in O(batches), and
-  // assemble begin-orders the nodes, so shard count never changes the
-  // assembled timeline. Buffers go back to the shard freelists, feeding
-  // the next run on this session (the fleet outlives the run above).
-  result.dropped_annotations = server_->dropped_annotation_count();
-  result.trace_shards = server_->shard_count();
-  // dropped_annotation_count() flushed every shard, so the admission
-  // counters are settled for the run.
-  result.sampled_kept = server_->sampled_kept_count() - sampled_kept_before;
-  result.sampled_dropped = server_->sampled_dropped_count() - sampled_dropped_before;
+  // trace_meta() flushes every shard first, so every span of the run has
+  // reached the drain subscribers and the admission counters are settled.
+  // Slot health is read after that flush: worker threads that died
+  // during the run have been reclaimed, so live_slots reports live
+  // producers, not cumulative churn.
+  static_cast<trace::TraceMeta&>(result) = server_->trace_meta();
+  // The fleet counts admissions over its lifetime; the run reports its own.
+  result.sampled_kept -= sampled_kept_before;
+  result.sampled_dropped -= sampled_dropped_before;
   sampled_kept_total_ += result.sampled_kept;
   sampled_dropped_total_ += result.sampled_dropped;
   if (online != nullptr) {
@@ -441,39 +440,30 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
     // accumulation (injected before the streamed footer renders below).
     online->set_sampling_accounting(sampled_kept_total_, sampled_dropped_total_);
   }
-  {
-    const auto& table = common::StringTable::global();
-    result.interned_strings = table.size();
-    result.interned_bytes = table.approx_bytes();
-    result.strtab_budget_bytes = table.budget_bytes();
-    result.rejected_interns = table.rejected_interns();
-  }
-  // Slot health after the final flush above: worker threads that died
-  // during the run have been reclaimed by now, so live_slots reports live
-  // producers, not cumulative churn.
-  result.live_slots = server_->live_slot_count();
-  result.retired_slots = server_->retired_slot_count();
-  result.slot_bytes = server_->approx_slot_bytes();
   if (subscriber_guard.remote_id != 0) {
-    // dropped_annotation_count() above flushed every shard, so the remote
-    // sink has been handed every span of the run. Detach the per-run
-    // subscription, seal the partial batch toward the wire, and sample
-    // the sink's session-cumulative accounting. Delivery stays async —
-    // the sender thread keeps draining; only the handoff is complete.
+    // trace_meta() above flushed every shard, so the remote sink has been
+    // handed every span of the run. Detach the per-run subscription, seal
+    // the partial batch toward the wire, and sample the sink's
+    // session-cumulative accounting. Delivery stays async — the sender
+    // thread keeps draining; only the handoff is complete.
     server_->remove_drain_subscriber(subscriber_guard.remote_id);
     subscriber_guard.remote_id = 0;
     remote_->flush();
     result.remote_spans = remote_->spans_published();
     result.remote_dropped_spans = remote_->spans_dropped();
     result.remote_reconnects = remote_->reconnects();
-    // The stream footer (written when the session dies) carries the final
-    // run's telemetry.
-    remote_->set_meta(result.trace_meta());
+    // The stream footer (written when the session dies) carries the last
+    // run's telemetry, with admissions counted over the whole stream — the
+    // session, like the stream's span_count.
+    trace::TraceMeta stream_meta = result;
+    stream_meta.sampled_kept = sampled_kept_total_;
+    stream_meta.sampled_dropped = sampled_dropped_total_;
+    remote_->set_meta(stream_meta);
   }
   if (stream_exporter != nullptr || binary_writer != nullptr) {
-    // dropped_annotation_count() flushed every shard, so the subscriber
-    // has observed every span of the run; detach, then finalize the file
-    // with the run's telemetry in the footer.
+    // trace_meta() flushed every shard, so the subscriber has observed
+    // every span of the run; detach, then finalize the file with the
+    // run's telemetry in the footer.
     server_->remove_drain_subscriber(subscriber_guard.stream_id);
     subscriber_guard.stream_id = 0;
     subscriber_guard.partial_file = nullptr;
@@ -500,6 +490,10 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
                                options.stream_export_path);
     }
   }
+  // Merge step: the per-shard batch lists concatenate in O(batches), and
+  // assemble begin-orders the nodes, so shard count never changes the
+  // assembled timeline. Buffers go back to the shard freelists, feeding
+  // the next run on this session (the fleet outlives the run above).
   trace::SpanBatches batches = server_->take_batches();
   result.timeline = trace::Timeline::assemble(batches);
   server_->recycle(std::move(batches));

@@ -34,6 +34,7 @@
 #include "xsp/common/time.hpp"
 #include "xsp/trace/span_sink.hpp"
 #include "xsp/trace/trace_server.hpp"
+#include "xsp/trace/wire.hpp"
 
 namespace xsp::trace {
 
@@ -177,6 +178,12 @@ class ShardedTraceServer final : public SpanSink {
   [[nodiscard]] std::uint64_t retired_slot_count();
   [[nodiscard]] std::size_t pooled_slot_count();
   [[nodiscard]] std::uint64_t approx_slot_bytes();
+
+  /// The fleet's export telemetry: flushes every shard, then samples the
+  /// dropped-annotation total, shard count, slot health, lifetime sampler
+  /// admissions and the global StringTable's size and budget counters.
+  /// The remote_* fields stay 0; they belong to the caller's transport.
+  [[nodiscard]] TraceMeta trace_meta();
 
   /// Toggle thread-exit slot reclamation on every shard (on by default).
   void set_slot_reclamation(bool enabled) noexcept;

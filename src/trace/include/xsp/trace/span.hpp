@@ -187,10 +187,7 @@ struct Span {
   /// surface it. Saturates at 0xFFFF (see note_dropped) — "at least
   /// 65535 drops" must never wrap back to "clean".
   std::uint16_t dropped_annotations = 0;
-  /// Non-interned value tags. NOTE: new members ride after this point;
-  /// the wire's legacy-decode path (v1–v3) copies exactly the bytes up
-  /// to `inline_tags` (see wire.cpp), so everything before it is frozen
-  /// at the v1 layout.
+  /// Non-interned value tags.
   InlineTagMap inline_tags;
 
   [[nodiscard]] Ns duration() const noexcept { return end - begin; }

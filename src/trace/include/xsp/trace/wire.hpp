@@ -1,4 +1,4 @@
-// XSP binary span-batch wire format (v4; v1–v3 accepted) and the
+// XSP binary span-batch wire format (v4, the only version) and the
 // format-agnostic serialization core shared by every exporter backend.
 //
 // The JSON path (StreamingExporter) tops out around 2.8M spans/s because
@@ -31,8 +31,8 @@
 //                    out-of-bounds annotation counts) throws WireError —
 //                    never UB.
 //
-// Format spec (layout, delta semantics, versioning/compat rules):
-// src/trace/README.md, "XSP binary wire format v1".
+// Format spec (layout, delta semantics, versioning rule):
+// src/trace/README.md, "XSP binary wire format (v4)".
 #pragma once
 
 #include <cstddef>
@@ -40,6 +40,7 @@
 #include <cstring>
 #include <functional>
 #include <iosfwd>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -53,58 +54,94 @@
 namespace xsp::trace {
 
 /// Collection-level telemetry to embed alongside the spans — the numbers
-/// an operator needs without scanning the trace. Populated from
-/// TraceServer::dropped_annotation_count() / ShardedTraceServer. Defined
-/// here, in the format-agnostic serialization core, because every backend
-/// ships it: the JSON exporter as its metadata footer, the binary writer
-/// as its Footer frame.
+/// an operator needs to know whether a trace is complete without scanning
+/// it. Defined here, in the format-agnostic serialization core, because
+/// every backend ships it: the JSON exporter as its metadata footer, the
+/// binary writer as the tail of its Footer frame (byte for byte, in this
+/// field order). The single declaration of the counters: a new counter is
+/// one member here plus one row in kTraceMetaFields below, and nothing
+/// else changes but the code that produces its value.
 struct TraceMeta {
-  /// Server-level aggregate of per-span annotation drops (tag/metric
-  /// capacity overflow) for the run that produced the timeline.
+  /// Annotations (tags/metrics) dropped to span capacity limits.
   std::uint64_t dropped_annotations = 0;
-  /// Number of trace-server shards the spans were collected across.
-  std::size_t shard_count = 1;
-  /// Global StringTable growth telemetry sampled at export time: distinct
-  /// interned strings and their approximate resident bytes. The table
-  /// never evicts, so a long-running service watches these to see
-  /// interned-annotation growth. 0/0 when not sampled.
+  /// Trace-server shards the spans were collected across.
+  std::uint64_t shard_count = 1;
+  /// Global StringTable growth at export time: distinct interned strings
+  /// and their approximate resident bytes. The table never evicts, so a
+  /// long-running service watches these for interned-annotation growth.
   std::uint64_t interned_strings = 0;
   std::uint64_t interned_bytes = 0;
-  /// Producer-slot health sampled at export time (see
-  /// TraceServer::live_slot_count() et al.): slots currently registered,
-  /// slots retired by thread-exit reclamation over the collection fleet's
-  /// lifetime, and approximate bytes resident in slots. A live_slots
-  /// figure that tracks thread churn instead of live threads means
-  /// reclamation is off or broken. All 0 when not sampled.
+  /// Producer-slot health at export time (TraceServer::live_slot_count()
+  /// et al.): slots registered, slots retired by thread-exit reclamation
+  /// over the fleet's lifetime, and approximate bytes resident in slots.
+  /// live_slots tracking thread churn instead of live threads means
+  /// reclamation is off or broken.
   std::uint64_t live_slots = 0;
   std::uint64_t retired_slots = 0;
   std::uint64_t slot_bytes = 0;
-  /// Remote-transport telemetry (trace::RemoteSink): spans dropped by the
-  /// producer because the bounded send buffer was full or a connection
-  /// died with frames still queued, and the number of reconnects the sink
-  /// performed. Non-zero remote_dropped_spans means the collector's copy
-  /// of the trace is incomplete — by accounted backpressure, never
-  /// silently. Both 0 when no remote sink was involved.
+  /// Remote transport (trace::RemoteSink): spans the producer dropped to a
+  /// full send buffer or a dying connection, and reconnects it performed.
+  /// Non-zero remote_dropped_spans means the collector's copy is
+  /// incomplete — by accounted backpressure, never silently.
   std::uint64_t remote_dropped_spans = 0;
   std::uint64_t remote_reconnects = 0;
-  /// Sampling accounting (trace::Sampler): spans the admission policy kept
-  /// and shed at publish. `published == sampled_kept + sampled_dropped`
-  /// whenever a sampler was attached; both 0 when none was (every span
-  /// implicitly admitted). Consumers rescale rate/count aggregates by the
-  /// effective sampling fraction (see analysis::OnlineAnalyzer). Wire v2
-  /// footer fields; a v1 stream decodes with both zero.
+  /// Sampling (trace::Sampler): spans the admission policy kept and shed.
+  /// `published == sampled_kept + sampled_dropped` whenever a sampler was
+  /// attached; both 0 when none was. Consumers rescale rate/count
+  /// aggregates by the effective sampling fraction.
   std::uint64_t sampled_kept = 0;
   std::uint64_t sampled_dropped = 0;
-  /// Bounded-interning accounting (wire v4 footer fields): the string
-  /// table's configured byte budget (0 = unbounded) and the lifetime
-  /// count of intern() calls rejected at the budget or the id-space cap
-  /// (each resolved to the `<interned-cap>` sentinel instead of growing
-  /// the table). Non-zero rejected_interns means some annotation values
-  /// in the trace read as the sentinel. v1–v3 streams decode with both
-  /// zero.
+  /// Bounded interning: the string table's byte budget (0 = unbounded)
+  /// and the lifetime count of intern() calls rejected at the budget or
+  /// the id-space cap. Non-zero rejected_interns means some annotation
+  /// values in the trace read as the `<interned-cap>` sentinel.
   std::uint64_t strtab_budget_bytes = 0;
   std::uint64_t rejected_interns = 0;
 };
+
+/// One TraceMeta counter: its serialized name (the span-JSON metadata
+/// key), the member, and a one-line description.
+struct TraceMetaField {
+  std::string_view name;
+  std::uint64_t TraceMeta::*member;
+  std::string_view help;
+};
+
+/// Every TraceMeta counter in declaration (and wire) order. Serializers
+/// iterate this table instead of naming fields.
+inline constexpr TraceMetaField kTraceMetaFields[] = {
+    {"dropped_annotations", &TraceMeta::dropped_annotations,
+     "Annotations dropped to span capacity limits"},
+    {"shard_count", &TraceMeta::shard_count, "Trace-server shards collected across"},
+    {"interned_strings", &TraceMeta::interned_strings, "Distinct strings in the global table"},
+    {"interned_bytes", &TraceMeta::interned_bytes, "Approximate bytes in the global table"},
+    {"live_slots", &TraceMeta::live_slots, "Producer slots currently registered"},
+    {"retired_slots", &TraceMeta::retired_slots, "Producer slots retired by thread exit"},
+    {"slot_bytes", &TraceMeta::slot_bytes, "Approximate bytes resident in producer slots"},
+    {"remote_dropped_spans", &TraceMeta::remote_dropped_spans,
+     "Spans a remote producer dropped before send"},
+    {"remote_reconnects", &TraceMeta::remote_reconnects, "Reconnects a remote producer made"},
+    {"sampled_kept", &TraceMeta::sampled_kept, "Spans the admission sampler kept"},
+    {"sampled_dropped", &TraceMeta::sampled_dropped, "Spans the admission sampler shed"},
+    {"strtab_budget_bytes", &TraceMeta::strtab_budget_bytes,
+     "String-table byte budget (0 = unbounded)"},
+    {"rejected_interns", &TraceMeta::rejected_interns,
+     "Interns rejected at the string-table budget or id cap"},
+};
+static_assert(sizeof(TraceMeta) == std::size(kTraceMetaFields) * sizeof(std::uint64_t),
+              "every TraceMeta member needs a kTraceMetaFields row");
+static_assert(
+    [] {
+      TraceMeta m{};
+      const std::uint64_t* prev = nullptr;
+      for (const TraceMetaField& f : kTraceMetaFields) {
+        const std::uint64_t* at = &(m.*f.member);
+        if (prev != nullptr && !(prev < at)) return false;
+        prev = at;
+      }
+      return true;
+    }(),
+    "kTraceMetaFields rows must follow TraceMeta's declaration order");
 
 /// Bounded-buffer byte sink: the serialization core's output seam. Bytes
 /// append into a fixed-threshold internal buffer and are pushed to the
@@ -193,26 +230,10 @@ namespace wire {
 
 /// Stream header magic: "XSPB".
 inline constexpr char kMagic[4] = {'X', 'S', 'P', 'B'};
-/// Format version this build writes. v2 extended the v1 Footer with the
-/// sampling accounting fields (sampled_kept / sampled_dropped); v3 adds the
-/// Heartbeat frame type (periodic producer-side counters, the wire-level
-/// producer-health signal a collector turns into per-producer staleness);
-/// v4 widens the span record with the inline-tag map (non-interned value
-/// bytes riding in the span) and appends the bounded-interning footer
-/// fields (strtab_budget_bytes / rejected_interns). Frames and header
-/// layout are otherwise identical across versions.
+/// The format version, written and read. A stream header declaring any
+/// other version is rejected (WireError): a reader never guesses at a
+/// layout it was not built for.
 inline constexpr std::uint16_t kVersion = 4;
-/// Oldest version this build still reads: v1–v3 streams decode normally,
-/// with later-version footer fields reported as zero, no heartbeats
-/// (pre-v3), and every span's inline-tag map empty (pre-v4).
-inline constexpr std::uint16_t kMinVersion = 1;
-/// The span record size every pre-v4 producer wrote (the v1 layout,
-/// frozen: everything in Span up to and excluding `inline_tags`, plus
-/// trailing padding). A v1–v3 stream header carries this span_size; the
-/// decoder widens each legacy record into the current Span by copying its
-/// legacy prefix and leaving the inline-tag map empty. Pinned by
-/// static_asserts in wire.cpp against the live Span layout.
-inline constexpr std::size_t kLegacySpanSize = 200;
 /// Endianness marker as written by the producer; a consumer reading the
 /// byte-swapped value rejects the stream (frames are host-endian memcpy).
 inline constexpr std::uint16_t kEndianMark = 0xFEFF;
@@ -232,16 +253,14 @@ enum class FrameType : std::uint8_t {
   kSpanBatch = 2,
   /// Payload: one Footer struct. Terminates the stream.
   kFooter = 3,
-  /// Payload: one Heartbeat struct (v3+). Periodic producer-health
-  /// counters; legal anywhere between header and footer. A heartbeat
-  /// frame in a v1/v2 stream is a protocol violation (WireError).
+  /// Payload: one Heartbeat struct. Periodic producer-health counters;
+  /// legal anywhere between header and footer.
   kHeartbeat = 4,
 };
 
 /// Fixed 16-byte stream header. span_size pins the producer's span layout
 /// so a consumer built against a different Span rejects the stream instead
-/// of misinterpreting it (the forward-compat rule: v1 consumers never
-/// guess).
+/// of misinterpreting it.
 struct Header {
   char magic[4];
   std::uint16_t version;
@@ -262,67 +281,19 @@ struct FrameHeader {
 static_assert(sizeof(FrameHeader) == 8);
 static_assert(std::is_trivially_copyable_v<FrameHeader>);
 
-/// Trailing telemetry frame: the TraceMeta the JSON footer carries, plus
-/// the stream's own span/byte accounting. export_bytes counts every byte
+/// Trailing telemetry frame: the stream's own span/byte accounting, then
+/// the TraceMeta the JSON footer carries. export_bytes counts every byte
 /// written before this frame (header, deltas, span batches).
 struct Footer {
   std::uint64_t span_count;
   std::uint64_t export_bytes;
-  std::uint64_t dropped_annotations;
-  std::uint64_t shard_count;
-  std::uint64_t interned_strings;
-  std::uint64_t interned_bytes;
-  std::uint64_t live_slots;
-  std::uint64_t retired_slots;
-  std::uint64_t slot_bytes;
-  std::uint64_t remote_dropped_spans;
-  std::uint64_t remote_reconnects;
-  /// v2 fields — appended so a v1 footer is an exact prefix of a v2 one
-  /// (readers zero-fill when decoding a v1 stream).
-  std::uint64_t sampled_kept;
-  std::uint64_t sampled_dropped;
-  /// v4 fields — bounded-interning accounting, appended under the same
-  /// prefix rule (v1–v3 readers never see them; v4 readers zero-fill
-  /// when decoding older streams).
-  std::uint64_t strtab_budget_bytes;
-  std::uint64_t rejected_interns;
+  TraceMeta meta;
 };
+static_assert(sizeof(Footer) == 120);
+static_assert(offsetof(Footer, meta) == 2 * sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<Footer>);
 
-/// Byte size of the 11-field v1 footer payload (a prefix of Footer).
-inline constexpr std::size_t kFooterSizeV1 = 11 * sizeof(std::uint64_t);
-/// Byte size of the 13-field v2/v3 footer payload (also a prefix).
-inline constexpr std::size_t kFooterSizeV2 = 13 * sizeof(std::uint64_t);
-static_assert(kFooterSizeV2 == kFooterSizeV1 + 2 * sizeof(std::uint64_t));
-static_assert(sizeof(Footer) == kFooterSizeV2 + 2 * sizeof(std::uint64_t));
-
-/// Footer payload size a stream of the given version carries. Shared by
-/// every decode driver (BinaryReader, the collector daemon) so the
-/// version-to-size rule cannot drift between them.
-[[nodiscard]] inline constexpr std::size_t footer_size(std::uint16_t version) noexcept {
-  if (version <= 1) return kFooterSizeV1;
-  if (version <= 3) return kFooterSizeV2;
-  return sizeof(Footer);
-}
-
-/// Validate a SpanBatch frame's span count against its payload size,
-/// given the stream's validated per-span record size (the header's
-/// span_size: sizeof(Span) for v4 streams, kLegacySpanSize for v1–v3
-/// producers); returns the count. Shared by every decode driver so the
-/// bounds logic cannot drift between them. Throws WireError.
-std::uint32_t checked_span_count(std::size_t payload_size, std::uint32_t count,
-                                 std::size_t span_size = sizeof(Span));
-
-/// Materialize `count` spans from `raw` (exactly count * span_size raw
-/// record bytes) into `out` (overwritten). For the current record size
-/// this is one whole memcpy; for kLegacySpanSize records each span's
-/// legacy prefix is copied and its inline-tag map left empty (the v1–v3
-/// widening path). `span_size` must be a value validate_header accepted.
-/// Throws WireError on a size mismatch.
-void materialize_spans(std::string_view raw, std::uint32_t count, std::size_t span_size,
-                       SpanBatch& out);
-
-/// v3 heartbeat payload: a producer's live transport/sampling counters,
+/// Heartbeat payload: a producer's live transport/sampling counters,
 /// cumulative since the producer started (monotonic per stream except
 /// outbox_spans, an instantaneous depth). The collector exposes them as
 /// per-producer metrics and derives staleness from heartbeat arrival age
@@ -349,13 +320,6 @@ struct Heartbeat {
 };
 static_assert(sizeof(Heartbeat) == 9 * sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<Heartbeat>);
-
-/// Validate a Heartbeat frame against the stream version and its payload
-/// size, and decode it. Shared by every decode driver (BinaryReader, the
-/// collector daemon) so the version gate cannot drift between them.
-/// Throws WireError for a heartbeat in a pre-v3 stream or a payload that
-/// is not exactly sizeof(Heartbeat).
-Heartbeat checked_heartbeat(std::string_view payload, std::uint16_t version);
 
 }  // namespace wire
 
@@ -397,7 +361,7 @@ class BinaryWriter {
   /// any time before finish().
   void set_meta(const TraceMeta& meta);
 
-  /// Emit a v3 Heartbeat frame carrying the producer's live counters, and
+  /// Emit a Heartbeat frame carrying the producer's live counters, and
   /// flush so the frame reaches the peer promptly (a buffered heartbeat
   /// measures nothing). Dropped after finish(), like batches.
   void write_heartbeat(const wire::Heartbeat& hb);
@@ -455,20 +419,10 @@ class WireDecoder {
   WireDecoder(const WireDecoder&) = delete;
   WireDecoder& operator=(const WireDecoder&) = delete;
 
-  /// Validate a stream header (magic/version/endianness/span size) and
-  /// return the stream's format version (kMinVersion..kVersion — drivers
-  /// keep it to size the footer frame, wire::footer_size). A v4 header
-  /// must declare span_size == sizeof(Span); a v1–v3 header may instead
-  /// declare wire::kLegacySpanSize (a pre-inline-tag producer), which
-  /// drivers record via set_span_size so batch decode widens each legacy
-  /// record. Throws WireError on any mismatch.
-  static std::uint16_t validate_header(const wire::Header& header);
-
-  /// Record the stream's validated per-span record size (the header's
-  /// span_size). Defaults to sizeof(Span); drivers call this right after
-  /// validate_header so decode_span_batch sizes and widens correctly.
-  void set_span_size(std::uint32_t span_size) noexcept { span_size_ = span_size; }
-  [[nodiscard]] std::uint32_t span_size() const noexcept { return span_size_; }
+  /// Validate a stream header: magic, endianness, version == kVersion,
+  /// span_size == sizeof(Span) and header size. Throws WireError on any
+  /// mismatch.
+  static void validate_header(const wire::Header& header);
 
   /// Parse a StringDelta payload: re-intern every entry into this
   /// process's global StringTable and extend the remap. A repeated id is
@@ -485,29 +439,25 @@ class WireDecoder {
   /// for drivers that already read the raw spans into the output buffer).
   void remap_batch(SpanBatch& batch);
 
-  /// Record the stream's footer frame.
-  void set_footer(const wire::Footer& footer) noexcept {
-    footer_ = footer;
-    saw_footer_ = true;
-  }
+  /// Validate and record a Heartbeat payload (latest wins). Throws
+  /// WireError unless the payload is exactly sizeof(Heartbeat).
+  void decode_heartbeat(std::string_view payload);
 
-  /// Record a decoded heartbeat frame (latest wins; drivers call this
-  /// after wire::checked_heartbeat validated the payload).
-  void set_heartbeat(const wire::Heartbeat& hb) noexcept {
-    heartbeat_ = hb;
-    ++heartbeats_seen_;
-  }
+  /// Validate and record the Footer payload. Throws WireError unless the
+  /// payload is exactly sizeof(Footer).
+  void decode_footer(std::string_view payload);
 
-  /// Heartbeat frames decoded on this stream so far (0 for v1/v2).
+  /// Heartbeat frames decoded on this stream so far.
   [[nodiscard]] std::uint64_t heartbeats_seen() const noexcept { return heartbeats_seen_; }
   /// The most recent heartbeat (zeros until heartbeats_seen() > 0).
   [[nodiscard]] const wire::Heartbeat& last_heartbeat() const noexcept { return heartbeat_; }
 
   [[nodiscard]] bool saw_footer() const noexcept { return saw_footer_; }
+  /// The footer frame (span/byte accounting zero, meta at its defaults
+  /// until saw_footer()).
   [[nodiscard]] const wire::Footer& footer() const noexcept { return footer_; }
-
-  /// Footer telemetry in TraceMeta shape (zeros until saw_footer()).
-  [[nodiscard]] TraceMeta meta() const noexcept;
+  /// The footer's telemetry.
+  [[nodiscard]] const TraceMeta& meta() const noexcept { return footer_.meta; }
 
   /// Spans decoded (validated + remapped) so far.
   [[nodiscard]] std::uint64_t spans_decoded() const noexcept { return spans_decoded_; }
@@ -524,7 +474,6 @@ class WireDecoder {
   void remap_span(Span& span) const;
 
   std::unordered_map<std::uint32_t, std::uint32_t> remap_;
-  std::uint32_t span_size_ = static_cast<std::uint32_t>(sizeof(Span));
   bool saw_footer_ = false;
   wire::Footer footer_{};
   wire::Heartbeat heartbeat_{};
@@ -562,12 +511,12 @@ class BinaryReader {
   /// decoded normally, only the final telemetry is missing.
   [[nodiscard]] bool saw_footer() const noexcept { return decoder_.saw_footer(); }
 
-  /// The footer frame's telemetry; zeros until saw_footer().
+  /// The footer frame (see WireDecoder::footer()).
   [[nodiscard]] const wire::Footer& footer() const noexcept { return decoder_.footer(); }
 
-  /// Footer telemetry in TraceMeta shape (zeros until saw_footer()) —
-  /// hand to a StreamingExporter when re-exporting as JSON.
-  [[nodiscard]] TraceMeta meta() const noexcept { return decoder_.meta(); }
+  /// The footer's telemetry — hand to a StreamingExporter when
+  /// re-exporting as JSON.
+  [[nodiscard]] const TraceMeta& meta() const noexcept { return decoder_.meta(); }
 
   /// Spans decoded so far.
   [[nodiscard]] std::uint64_t spans_read() const noexcept { return decoder_.spans_decoded(); }
@@ -577,7 +526,7 @@ class BinaryReader {
     return decoder_.strings_reinterned();
   }
 
-  /// Heartbeat frames decoded so far (always 0 for v1/v2 streams).
+  /// Heartbeat frames decoded so far.
   [[nodiscard]] std::uint64_t heartbeats_seen() const noexcept {
     return decoder_.heartbeats_seen();
   }
@@ -587,20 +536,12 @@ class BinaryReader {
     return decoder_.last_heartbeat();
   }
 
-  /// The stream's declared format version (from the validated header).
-  [[nodiscard]] std::uint16_t stream_version() const noexcept { return version_; }
-
  private:
   void read_exact(void* dst, std::size_t n, const char* what);
 
   std::istream& in_;
   WireDecoder decoder_;
-  std::string payload_;  ///< delta-payload scratch, reused across frames
-  std::uint16_t version_ = wire::kVersion;
-  /// The stream's per-span record size (validated header value); when it
-  /// is wire::kLegacySpanSize, batches read via scratch + widen instead
-  /// of the zero-copy path.
-  std::uint32_t span_size_ = static_cast<std::uint32_t>(sizeof(Span));
+  std::string payload_;  ///< non-span payload scratch, reused across frames
   bool done_ = false;
 };
 

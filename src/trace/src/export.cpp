@@ -315,32 +315,13 @@ void StreamingExporter::finish() {
     out.clear();
     out += ']';
     if (with_metadata_) {
-      out += ",\"metadata\":{\"dropped_annotations\":";
-      append_uint(out, meta_.dropped_annotations);
-      out += ",\"shard_count\":";
-      append_uint(out, meta_.shard_count);
-      out += ",\"interned_strings\":";
-      append_uint(out, meta_.interned_strings);
-      out += ",\"interned_bytes\":";
-      append_uint(out, meta_.interned_bytes);
-      out += ",\"live_slots\":";
-      append_uint(out, meta_.live_slots);
-      out += ",\"retired_slots\":";
-      append_uint(out, meta_.retired_slots);
-      out += ",\"slot_bytes\":";
-      append_uint(out, meta_.slot_bytes);
-      out += ",\"remote_dropped_spans\":";
-      append_uint(out, meta_.remote_dropped_spans);
-      out += ",\"remote_reconnects\":";
-      append_uint(out, meta_.remote_reconnects);
-      out += ",\"sampled_kept\":";
-      append_uint(out, meta_.sampled_kept);
-      out += ",\"sampled_dropped\":";
-      append_uint(out, meta_.sampled_dropped);
-      out += ",\"strtab_budget_bytes\":";
-      append_uint(out, meta_.strtab_budget_bytes);
-      out += ",\"rejected_interns\":";
-      append_uint(out, meta_.rejected_interns);
+      out += ",\"metadata\":{";
+      for (const TraceMetaField& field : kTraceMetaFields) {
+        if (&field != kTraceMetaFields) out += ',';
+        append_escaped(out, field.name);
+        out += ':';
+        append_uint(out, meta_.*field.member);
+      }
       out += ",\"span_count\":";
       append_uint(out, spans_written_);
       out += ",\"export_format\":";

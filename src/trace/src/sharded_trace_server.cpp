@@ -234,6 +234,23 @@ std::uint64_t ShardedTraceServer::approx_slot_bytes() {
   return total;
 }
 
+TraceMeta ShardedTraceServer::trace_meta() {
+  TraceMeta meta;
+  meta.dropped_annotations = dropped_annotation_count();  // flushes first
+  meta.shard_count = shard_count();
+  const auto& table = common::StringTable::global();
+  meta.interned_strings = table.size();
+  meta.interned_bytes = table.approx_bytes();
+  meta.live_slots = live_slot_count();
+  meta.retired_slots = retired_slot_count();
+  meta.slot_bytes = approx_slot_bytes();
+  meta.sampled_kept = sampled_kept_count();
+  meta.sampled_dropped = sampled_dropped_count();
+  meta.strtab_budget_bytes = table.budget_bytes();
+  meta.rejected_interns = table.rejected_interns();
+  return meta;
+}
+
 void ShardedTraceServer::set_slot_reclamation(bool enabled) noexcept {
   for (auto& shard : shards_) shard->set_slot_reclamation(enabled);
 }

@@ -8,19 +8,6 @@
 
 namespace xsp::trace {
 
-// The legacy-decode contract: a pre-v4 span record is exactly the bytes
-// of the current Span up to `inline_tags` plus trailing padding. Widening
-// copies offsetof(Span, inline_tags) bytes per record — never the full
-// legacy record, whose tail padding would overwrite the (zeroed)
-// inline-tag map. These pins fail the build the moment a Span edit breaks
-// either assumption.
-static_assert(offsetof(Span, inline_tags) <= wire::kLegacySpanSize,
-              "inline_tags must start within the legacy span record");
-static_assert(offsetof(Span, inline_tags) > offsetof(Span, dropped_annotations),
-              "inline_tags must ride after every legacy field");
-static_assert(sizeof(Span) > wire::kLegacySpanSize,
-              "the current span record must be a strict widening of the legacy one");
-
 // --- FrameSink --------------------------------------------------------------
 
 FrameSink::FrameSink(TryWriteFn fn, Fallible) : fn_(std::move(fn)) {
@@ -259,22 +246,7 @@ void BinaryWriter::write_heartbeat(const wire::Heartbeat& hb) {
 void BinaryWriter::finish() {
   std::lock_guard lk(mu_);
   if (finished_) return;
-  wire::Footer footer{};
-  footer.span_count = spans_written_;
-  footer.export_bytes = sink_.bytes_written();
-  footer.dropped_annotations = meta_.dropped_annotations;
-  footer.shard_count = meta_.shard_count;
-  footer.interned_strings = meta_.interned_strings;
-  footer.interned_bytes = meta_.interned_bytes;
-  footer.live_slots = meta_.live_slots;
-  footer.retired_slots = meta_.retired_slots;
-  footer.slot_bytes = meta_.slot_bytes;
-  footer.remote_dropped_spans = meta_.remote_dropped_spans;
-  footer.remote_reconnects = meta_.remote_reconnects;
-  footer.sampled_kept = meta_.sampled_kept;
-  footer.sampled_dropped = meta_.sampled_dropped;
-  footer.strtab_budget_bytes = meta_.strtab_budget_bytes;
-  footer.rejected_interns = meta_.rejected_interns;
+  const wire::Footer footer{spans_written_, sink_.bytes_written(), meta_};
   wire::FrameHeader fh{};
   fh.type = static_cast<std::uint8_t>(wire::FrameType::kFooter);
   fh.payload_size = static_cast<std::uint32_t>(sizeof footer);
@@ -303,81 +275,40 @@ std::size_t BinaryWriter::sink_pending_bytes() const {
 
 // --- WireDecoder ------------------------------------------------------------
 
-namespace wire {
+namespace {
 
-std::uint32_t checked_span_count(std::size_t payload_size, std::uint32_t count,
-                                 std::size_t span_size) {
-  if (count > kMaxSpansPerFrame) {
+/// Validate a SpanBatch frame's span count against its payload size.
+/// Shared by both decode paths so the bounds logic cannot drift.
+void check_span_count(std::size_t payload_size, std::uint32_t count) {
+  if (count > wire::kMaxSpansPerFrame) {
     throw WireError("xsp wire: span-batch count " + std::to_string(count) +
                     " exceeds the per-frame bound");
   }
-  if (payload_size != sizeof count + static_cast<std::size_t>(count) * span_size) {
+  if (payload_size != sizeof count + static_cast<std::size_t>(count) * sizeof(Span)) {
     throw WireError("xsp wire: span-batch payload length does not match its span count");
   }
-  return count;
 }
 
-void materialize_spans(std::string_view raw, std::uint32_t count, std::size_t span_size,
-                       SpanBatch& out) {
-  if (raw.size() != static_cast<std::size_t>(count) * span_size) {
-    throw WireError("xsp wire: span payload length does not match its span count");
-  }
-  if (span_size == sizeof(Span)) {
-    out.resize(count);
-    if (count > 0) std::memcpy(out.data(), raw.data(), raw.size());
-    return;
-  }
-  // Legacy (v1–v3) records: widen each one — copy the legacy field prefix
-  // and leave the appended inline-tag map in its value-initialized empty
-  // state. assign() (not resize()) so recycled output buffers cannot leak
-  // a previous batch's inline tags into the widened spans.
-  constexpr std::size_t kLegacyPrefix = offsetof(Span, inline_tags);
-  out.assign(count, Span{});
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::memcpy(&out[i], raw.data() + static_cast<std::size_t>(i) * span_size, kLegacyPrefix);
-  }
-}
-
-Heartbeat checked_heartbeat(std::string_view payload, std::uint16_t version) {
-  if (version < 3) {
-    throw WireError("xsp wire: heartbeat frame in a v" + std::to_string(version) +
-                    " stream (heartbeats require v3)");
-  }
-  if (payload.size() != sizeof(Heartbeat)) {
-    throw WireError("xsp wire: heartbeat payload length " + std::to_string(payload.size()) +
-                    " (expected " + std::to_string(sizeof(Heartbeat)) + ")");
-  }
-  Heartbeat hb{};
-  std::memcpy(&hb, payload.data(), sizeof hb);
-  return hb;
-}
-
-}  // namespace wire
+}  // namespace
 
 WireDecoder::WireDecoder() {
   remap_.emplace(0u, 0u);  // the reserved empty string maps to itself
 }
 
-std::uint16_t WireDecoder::validate_header(const wire::Header& header) {
+void WireDecoder::validate_header(const wire::Header& header) {
   if (std::memcmp(header.magic, wire::kMagic, sizeof wire::kMagic) != 0) {
     throw WireError("xsp wire: bad magic (not an XSP binary trace)");
   }
   if (header.endianness != wire::kEndianMark) {
     throw WireError("xsp wire: endianness mismatch between producer and consumer");
   }
-  if (header.version < wire::kMinVersion || header.version > wire::kVersion) {
+  if (header.version != wire::kVersion) {
     throw WireError("xsp wire: unsupported format version " + std::to_string(header.version) +
-                    " (this build reads v" + std::to_string(wire::kMinVersion) + "..v" +
-                    std::to_string(wire::kVersion) + ")");
+                    " (this build reads v" + std::to_string(wire::kVersion) + ")");
   }
-  // v4 streams must carry the current span record exactly; a v1–v3
-  // producer may instead declare the frozen legacy record size, which
-  // the batch decoder widens (drivers record it via set_span_size).
-  // Anything else is a build whose Span layout this one cannot read.
-  const bool span_size_ok =
-      header.span_size == sizeof(Span) ||
-      (header.version < 4 && header.span_size == wire::kLegacySpanSize);
-  if (!span_size_ok) {
+  // Spans travel as raw records: a stream from a build whose Span layout
+  // differs cannot be read.
+  if (header.span_size != sizeof(Span)) {
     throw WireError("xsp wire: span struct size mismatch (stream " +
                     std::to_string(header.span_size) + ", this build " +
                     std::to_string(sizeof(Span)) + ")");
@@ -385,7 +316,6 @@ std::uint16_t WireDecoder::validate_header(const wire::Header& header) {
   if (header.header_size != sizeof(wire::Header)) {
     throw WireError("xsp wire: bad header size " + std::to_string(header.header_size));
   }
-  return header.version;
 }
 
 common::StrId WireDecoder::map_id(std::uint32_t producer_id) const {
@@ -434,8 +364,9 @@ void WireDecoder::decode_span_batch(std::string_view payload, SpanBatch& out) {
     throw WireError("xsp wire: span-batch frame too small for its span count");
   }
   std::memcpy(&count, payload.data(), sizeof count);
-  wire::checked_span_count(payload.size(), count, span_size_);
-  wire::materialize_spans(payload.substr(sizeof count), count, span_size_, out);
+  check_span_count(payload.size(), count);
+  out.resize(count);
+  if (count > 0) std::memcpy(out.data(), payload.data() + sizeof count, count * sizeof(Span));
   remap_batch(out);
 }
 
@@ -467,22 +398,23 @@ void WireDecoder::remap_span(Span& span) const {
   span.inline_tags.remap_keys(remap);
 }
 
-TraceMeta WireDecoder::meta() const noexcept {
-  TraceMeta m;
-  m.dropped_annotations = footer_.dropped_annotations;
-  m.shard_count = static_cast<std::size_t>(footer_.shard_count);
-  m.interned_strings = footer_.interned_strings;
-  m.interned_bytes = footer_.interned_bytes;
-  m.live_slots = footer_.live_slots;
-  m.retired_slots = footer_.retired_slots;
-  m.slot_bytes = footer_.slot_bytes;
-  m.remote_dropped_spans = footer_.remote_dropped_spans;
-  m.remote_reconnects = footer_.remote_reconnects;
-  m.sampled_kept = footer_.sampled_kept;
-  m.sampled_dropped = footer_.sampled_dropped;
-  m.strtab_budget_bytes = footer_.strtab_budget_bytes;
-  m.rejected_interns = footer_.rejected_interns;
-  return m;
+void WireDecoder::decode_heartbeat(std::string_view payload) {
+  if (payload.size() != sizeof(wire::Heartbeat)) {
+    throw WireError("xsp wire: heartbeat payload length " + std::to_string(payload.size()) +
+                    " (expected " + std::to_string(sizeof(wire::Heartbeat)) + ")");
+  }
+  std::memcpy(&heartbeat_, payload.data(), sizeof heartbeat_);
+  ++heartbeats_seen_;
+}
+
+void WireDecoder::decode_footer(std::string_view payload) {
+  if (payload.size() != sizeof(wire::Footer)) {
+    throw WireError("xsp wire: footer payload length mismatch (expected " +
+                    std::to_string(sizeof(wire::Footer)) + " bytes, got " +
+                    std::to_string(payload.size()) + ")");
+  }
+  std::memcpy(&footer_, payload.data(), sizeof footer_);
+  saw_footer_ = true;
 }
 
 // --- BinaryReader -----------------------------------------------------------
@@ -490,9 +422,7 @@ TraceMeta WireDecoder::meta() const noexcept {
 BinaryReader::BinaryReader(std::istream& in) : in_(in) {
   wire::Header header{};
   read_exact(&header, sizeof header, "stream header");
-  version_ = WireDecoder::validate_header(header);
-  span_size_ = header.span_size;
-  decoder_.set_span_size(span_size_);
+  WireDecoder::validate_header(header);
 }
 
 void BinaryReader::read_exact(void* dst, std::size_t n, const char* what) {
@@ -534,19 +464,11 @@ bool BinaryReader::next_batch(SpanBatch& out) {
           throw WireError("xsp wire: span-batch frame too small for its span count");
         }
         read_exact(&count, sizeof count, "span-batch count");
-        wire::checked_span_count(payload_size, count, span_size_);
-        if (span_size_ == sizeof(Span)) {
-          // Decode straight into the caller's buffer: one read into span
-          // memory, then in-place StrId rewrites — no intermediate copy.
-          out.resize(count);
-          read_exact(out.data(), count * sizeof(Span), "span-batch payload");
-        } else {
-          // Legacy (v1–v3) records are narrower than Span: read them
-          // into scratch and widen each one (wire::materialize_spans).
-          payload_.resize(static_cast<std::size_t>(count) * span_size_);
-          read_exact(payload_.data(), payload_.size(), "span-batch payload");
-          wire::materialize_spans(payload_, count, span_size_, out);
-        }
+        check_span_count(payload_size, count);
+        // Decode straight into the caller's buffer: one read into span
+        // memory, then in-place StrId rewrites — no intermediate copy.
+        out.resize(count);
+        read_exact(out.data(), count * sizeof(Span), "span-batch payload");
         decoder_.remap_batch(out);
         if (count > 0) return true;
         break;  // an empty batch frame is legal; keep scanning
@@ -554,25 +476,13 @@ bool BinaryReader::next_batch(SpanBatch& out) {
       case wire::FrameType::kHeartbeat: {
         payload_.resize(payload_size);
         read_exact(payload_.data(), payload_size, "heartbeat payload");
-        decoder_.set_heartbeat(wire::checked_heartbeat(payload_, version_));
+        decoder_.decode_heartbeat(payload_);
         break;  // telemetry, not data; keep scanning for spans
       }
       case wire::FrameType::kFooter: {
-        // The footer size follows the stream's declared version: a v1
-        // stream carries the 11-field prefix, v2/v3 the 13-field one,
-        // and a v4 stream the full struct (later-version fields decode
-        // as zero on older streams). Anything else — truncated or
-        // oversized — is corruption, not data.
-        const std::size_t expect = wire::footer_size(version_);
-        if (payload_size != expect) {
-          throw WireError("xsp wire: footer payload length mismatch (v" +
-                          std::to_string(version_) + " expects " +
-                          std::to_string(expect) + " bytes, got " +
-                          std::to_string(payload_size) + ")");
-        }
-        wire::Footer footer{};
-        read_exact(&footer, expect, "footer payload");
-        decoder_.set_footer(footer);
+        payload_.resize(payload_size);
+        read_exact(payload_.data(), payload_size, "footer payload");
+        decoder_.decode_footer(payload_);
         done_ = true;
         // The footer terminates the stream; trailing bytes are corruption
         // (e.g. two concatenated exports), not data.

@@ -291,8 +291,8 @@ TEST(CollectorE2E, CollidingFabricatedStrIdsNeverCrossContaminate) {
     s.end = 9;
     trace::wire::Footer f{};
     f.span_count = 1;
-    f.remote_dropped_spans = footer_drops;
-    f.remote_reconnects = footer_reconnects;
+    f.meta.remote_dropped_spans = footer_drops;
+    f.meta.remote_reconnects = footer_reconnects;
     return std::make_pair(
         header_bytes() + frame(trace::wire::FrameType::kStringDelta, delta),
         frame(trace::wire::FrameType::kSpanBatch, span_batch_payload({s})) +
@@ -569,19 +569,12 @@ TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {
       << "every span ends up either sent or accounted dropped";
 }
 
-// --- wire v3 heartbeats: producer health at the daemon ----------------------
+// --- heartbeats: producer health at the daemon ------------------------------
 
 std::string heartbeat_frame(const trace::wire::Heartbeat& hb) {
   std::string payload;
   put_pod(payload, hb);
   return frame(trace::wire::FrameType::kHeartbeat, payload);
-}
-
-std::string v1_header_bytes() {
-  std::string out = header_bytes();
-  const auto version = std::uint16_t{1};
-  std::memcpy(out.data() + 4, &version, sizeof version);  // Header::version
-  return out;
 }
 
 /// One full scrape against the daemon's metrics endpoint: raw HTTP/1.0
@@ -661,28 +654,28 @@ TEST(CollectorHeartbeat, HeartbeatIngestExposesPerProducerSeriesAndStaleness) {
   EXPECT_EQ(collector.service.stats().connections_errored, 0u);
 }
 
-TEST(CollectorHeartbeat, PreV3ProducersGetConnectionSeriesButNoHealthSeries) {
-  const Endpoint ep = uds_endpoint("col_hb_v1");
+TEST(CollectorHeartbeat, ProducerWithoutHeartbeatGetsConnectionSeriesButNoHealthSeries) {
+  const Endpoint ep = uds_endpoint("col_hb_none");
   CollectorOptions copts;
   copts.metrics_endpoint = "tcp://127.0.0.1:0";
   RunningCollector collector(ep, copts);
   const Endpoint scrape_ep = *collector.service.metrics_endpoint();
 
-  // A v1 producer streams a span; it can never send heartbeats, so it
-  // must get per-connection transport series but no xsp_producer_* ones —
-  // absence, not fabricated zeros (silence is not health data).
+  // A producer streams a span but has not heartbeated yet, so it must get
+  // per-connection transport series but no xsp_producer_* ones — absence,
+  // not fabricated zeros (silence is not health data).
   Socket producer = try_connect(ep, 1000);
   ASSERT_TRUE(producer.valid());
   Span s;
   s.id = 1;
-  s.name = StrId("v1_op");
-  s.tracer = StrId("v1_tracer");
+  s.name = StrId("quiet_op");
+  s.tracer = StrId("quiet_tracer");
   s.begin = 0;
   s.end = 1;
-  std::string bytes = v1_header_bytes();
+  std::string bytes = header_bytes();
   bytes += frame(trace::wire::FrameType::kStringDelta,
-                 delta_entry(s.name.raw(), "v1_op") +
-                     delta_entry(s.tracer.raw(), "v1_tracer"));
+                 delta_entry(s.name.raw(), "quiet_op") +
+                     delta_entry(s.tracer.raw(), "quiet_tracer"));
   bytes += frame(trace::wire::FrameType::kSpanBatch, span_batch_payload({s}));
   ASSERT_TRUE(send_all(producer, bytes));
   ASSERT_TRUE(wait_until(
@@ -692,7 +685,7 @@ TEST(CollectorHeartbeat, PreV3ProducersGetConnectionSeriesButNoHealthSeries) {
   ASSERT_FALSE(body.empty());
   EXPECT_NE(body.find("xsp_connection_spans_total{conn=\"1\"} 1"), std::string::npos);
   EXPECT_EQ(body.find("xsp_producer_"), std::string::npos)
-      << "v1/v2 connections must not fabricate producer-health series\n" << body;
+      << "a producer without heartbeats must not get fabricated health series\n" << body;
   EXPECT_NE(body.find("xsp_ingested_spans_total 1"), std::string::npos);
 
   producer.shutdown_write();

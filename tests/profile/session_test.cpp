@@ -7,9 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "../net/net_test_util.hpp"
 #include "../trace/json_check.hpp"
 #include "xsp/models/builder.hpp"
 #include "xsp/trace/export.hpp"
@@ -192,7 +194,7 @@ TEST(Session, RunTraceCarriesCollectionTelemetry) {
   auto opts = ProfileOptions::model_layer();
   opts.trace_shards = 2;
   const auto run = s.profile(small_graph(), opts);
-  EXPECT_EQ(run.trace_shards, 2u);
+  EXPECT_EQ(run.shard_count, 2u);
   // The simulated profilers stay within annotation capacity.
   EXPECT_EQ(run.dropped_annotations, 0u);
   const auto meta = run.trace_meta();
@@ -277,9 +279,9 @@ TEST(Session, StreamExportBinaryRoundTripsThroughBinaryReader) {
   EXPECT_EQ(reader.spans_read(), run.streamed_spans);
   // The footer frame carries the same run telemetry the JSON footer does.
   EXPECT_EQ(reader.footer().span_count, run.streamed_spans);
-  EXPECT_EQ(reader.footer().shard_count, 2u);
-  EXPECT_EQ(reader.footer().live_slots, run.live_slots);
-  EXPECT_EQ(reader.footer().interned_strings, run.interned_strings);
+  EXPECT_EQ(reader.footer().meta.shard_count, 2u);
+  EXPECT_EQ(reader.footer().meta.live_slots, run.live_slots);
+  EXPECT_EQ(reader.footer().meta.interned_strings, run.interned_strings);
 
   // Decoded spans assemble into the same timeline the live run produced.
   const trace::Timeline replay = trace::Timeline::assemble(trace::flatten_batches(decoded));
@@ -425,6 +427,37 @@ TEST(Session, SamplingAccountsEveryPublicationAndThinsTheTimeline) {
   // The per-run accounting flows into the exportable TraceMeta.
   EXPECT_EQ(thin.trace_meta().sampled_kept, thin.sampled_kept);
   EXPECT_EQ(thin.trace_meta().sampled_dropped, thin.sampled_dropped);
+}
+
+TEST(Session, RemoteStreamFooterCountsSamplingOverTheWholeSession) {
+  // The remote stream lives as long as the session, so its footer's
+  // admission counters must cover every run on it, not only the last.
+  const net::Endpoint ep = net::testutil::uds_endpoint("session_sampled_footer");
+  net::Listener listener(ep);
+  std::string captured;
+  std::thread capture([&] {
+    net::Socket conn = net::testutil::accept_within(listener);
+    if (conn.valid()) captured = net::testutil::read_to_eof(conn, 10000);
+  });
+  std::uint64_t first_kept = 0;
+  std::uint64_t kept_total = 0;
+  {
+    Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
+    auto opts = ProfileOptions::model_layer();
+    opts.sampling_rate = 0.5;
+    opts.remote_endpoint = ep.uri();
+    first_kept = s.profile(small_graph(), opts).sampled_kept;
+    kept_total = first_kept + s.profile(small_graph(), opts).sampled_kept;
+  }  // the session's sink closes: footer, half-close, wait for our EOF
+  capture.join();
+  EXPECT_GT(first_kept, 0u);
+  EXPECT_GT(kept_total, first_kept);
+
+  std::istringstream in(captured);
+  trace::BinaryReader reader(in);
+  (void)reader.read_all();
+  ASSERT_TRUE(reader.saw_footer());
+  EXPECT_EQ(reader.meta().sampled_kept, kept_total);
 }
 
 TEST(Session, SamplingComposesWithLiveStatsAndTopK) {

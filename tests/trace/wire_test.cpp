@@ -231,6 +231,10 @@ TEST(BinaryWire, FooterCarriesTelemetryAndByteAccounting) {
   meta.live_slots = 2;
   meta.retired_slots = 40;
   meta.slot_bytes = 4096;
+  meta.remote_dropped_spans = 17;
+  meta.remote_reconnects = 5;
+  meta.sampled_kept = 1500;
+  meta.sampled_dropped = 6500;
   meta.strtab_budget_bytes = 1 << 20;
   meta.rejected_interns = 99;
   const SpanBatches batches = {{make_span(1, 100), make_span(2, 200)}};
@@ -242,17 +246,52 @@ TEST(BinaryWire, FooterCarriesTelemetryAndByteAccounting) {
   ASSERT_TRUE(reader.saw_footer());
   const wire::Footer& f = reader.footer();
   EXPECT_EQ(f.span_count, 2u);
-  EXPECT_EQ(f.dropped_annotations, 3u);
-  EXPECT_EQ(f.shard_count, 8u);
-  EXPECT_EQ(f.interned_strings, 1234u);
-  EXPECT_EQ(f.interned_bytes, 56789u);
-  EXPECT_EQ(f.live_slots, 2u);
-  EXPECT_EQ(f.retired_slots, 40u);
-  EXPECT_EQ(f.slot_bytes, 4096u);
-  EXPECT_EQ(f.strtab_budget_bytes, static_cast<std::uint64_t>(1 << 20));
-  EXPECT_EQ(f.rejected_interns, 99u);
+  EXPECT_EQ(f.meta.dropped_annotations, 3u);
+  EXPECT_EQ(f.meta.shard_count, 8u);
+  EXPECT_EQ(f.meta.interned_strings, 1234u);
+  EXPECT_EQ(f.meta.interned_bytes, 56789u);
+  EXPECT_EQ(f.meta.live_slots, 2u);
+  EXPECT_EQ(f.meta.retired_slots, 40u);
+  EXPECT_EQ(f.meta.slot_bytes, 4096u);
+  EXPECT_EQ(f.meta.remote_dropped_spans, 17u);
+  EXPECT_EQ(f.meta.remote_reconnects, 5u);
+  EXPECT_EQ(f.meta.sampled_kept, 1500u);
+  EXPECT_EQ(f.meta.sampled_dropped, 6500u);
+  EXPECT_EQ(f.meta.strtab_budget_bytes, static_cast<std::uint64_t>(1 << 20));
+  EXPECT_EQ(f.meta.rejected_interns, 99u);
   // export_bytes counts everything before the footer frame.
   EXPECT_EQ(f.export_bytes, bytes.size() - sizeof(wire::FrameHeader) - sizeof(wire::Footer));
+}
+
+TEST(BinaryWire, GoldenFooterBytesDecodeToTheirTraceMetaMembers) {
+  // The v4 footer payload is 15 native-endian u64s; value k sits at byte
+  // offset 8 * (k - 1). This pins the wire position of every counter
+  // independently of the writer and of TraceMeta's field table.
+  std::string payload;
+  for (std::uint64_t v = 1; v <= 15; ++v) put_pod(payload, v);
+  ASSERT_EQ(payload.size(), 120u);
+  std::string bytes = header_bytes();
+  bytes += frame(wire::FrameType::kFooter, payload);
+  std::istringstream in(bytes);
+  BinaryReader reader(in);
+  (void)reader.read_all();
+  ASSERT_TRUE(reader.saw_footer());
+  EXPECT_EQ(reader.footer().span_count, 1u);
+  EXPECT_EQ(reader.footer().export_bytes, 2u);
+  const TraceMeta& m = reader.meta();
+  EXPECT_EQ(m.dropped_annotations, 3u);
+  EXPECT_EQ(m.shard_count, 4u);
+  EXPECT_EQ(m.interned_strings, 5u);
+  EXPECT_EQ(m.interned_bytes, 6u);
+  EXPECT_EQ(m.live_slots, 7u);
+  EXPECT_EQ(m.retired_slots, 8u);
+  EXPECT_EQ(m.slot_bytes, 9u);
+  EXPECT_EQ(m.remote_dropped_spans, 10u);
+  EXPECT_EQ(m.remote_reconnects, 11u);
+  EXPECT_EQ(m.sampled_kept, 12u);
+  EXPECT_EQ(m.sampled_dropped, 13u);
+  EXPECT_EQ(m.strtab_budget_bytes, 14u);
+  EXPECT_EQ(m.rejected_interns, 15u);
 }
 
 TEST(BinaryWire, WriterCountsSpansAndBytes) {
@@ -466,15 +505,14 @@ TEST(WireHostileInput, RejectsBadMagic) {
 }
 
 TEST(WireHostileInput, RejectsUnsupportedVersion) {
-  wire::Header h = valid_header();
-  h.version = static_cast<std::uint16_t>(wire::kVersion + 1);  // from the future
-  std::string bytes;
-  put_pod(bytes, h);
-  expect_wire_error(bytes, "unsupported format version");
-  h.version = 0;  // below kMinVersion
-  bytes.clear();
-  put_pod(bytes, h);
-  expect_wire_error(bytes, "unsupported format version");
+  // v4 is the only version read: earlier and future versions alike.
+  for (const std::uint16_t version : {0, 1, 2, 3, 5}) {
+    wire::Header h = valid_header();
+    h.version = version;
+    std::string bytes;
+    put_pod(bytes, h);
+    expect_wire_error(bytes, "unsupported format version");
+  }
 }
 
 TEST(WireHostileInput, RejectsForeignEndianness) {
@@ -489,6 +527,10 @@ TEST(WireHostileInput, RejectsMismatchedSpanSize) {
   wire::Header h = valid_header();
   h.span_size = static_cast<std::uint32_t>(sizeof(Span)) + 8;  // a future layout
   std::string bytes;
+  put_pod(bytes, h);
+  expect_wire_error(bytes, "span struct size mismatch");
+  h.span_size = 200;  // the pre-inline-tag record
+  bytes.clear();
   put_pod(bytes, h);
   expect_wire_error(bytes, "span struct size mismatch");
 }
@@ -642,6 +684,9 @@ TEST(WireHostileInput, RejectsBadFooterPayloadSize) {
   std::string bytes = header_bytes();
   bytes += frame(wire::FrameType::kFooter, std::string(sizeof(wire::Footer) - 8, '\0'));
   expect_wire_error(bytes, "footer payload length mismatch");
+  bytes = header_bytes();
+  bytes += frame(wire::FrameType::kFooter, std::string(sizeof(wire::Footer) + 8, '\0'));
+  expect_wire_error(bytes, "footer payload length mismatch");
 }
 
 TEST(WireHostileInput, RejectsDataAfterFooter) {
@@ -669,117 +714,7 @@ TEST(WireHostileInput, ToleratesCleanEofBeforeFooter) {
   EXPECT_EQ(reader.footer().span_count, 0u);  // zeros until a footer
 }
 
-// --- version compatibility (v1/v2 streams against the current reader) -------
-
-std::string v1_header_bytes() {
-  wire::Header h = valid_header();
-  h.version = 1;
-  std::string out;
-  put_pod(out, h);
-  return out;
-}
-
-TEST(WireVersionCompat, V1FooterDecodesAsPrefixWithZeroSampledFields) {
-  // A v1 producer sends the 11-field footer; the v2 reader must accept it
-  // and zero-fill the appended sampling fields.
-  wire::Footer f{};
-  f.span_count = 1;
-  f.dropped_annotations = 7;
-  f.shard_count = 3;
-  f.remote_dropped_spans = 11;
-  f.remote_reconnects = 2;
-  Span s = make_span(5, 0);
-  std::string delta = delta_entry(s.name.raw(), "wire_op");
-  delta += delta_entry(s.tracer.raw(), "wire_test");
-  std::string bytes = v1_header_bytes();
-  bytes += frame(wire::FrameType::kStringDelta, delta);
-  bytes += frame(wire::FrameType::kSpanBatch, span_batch_payload({s}));
-  bytes += frame(wire::FrameType::kFooter,
-                 std::string(reinterpret_cast<const char*>(&f), wire::kFooterSizeV1));
-  std::istringstream in(bytes);
-  BinaryReader reader(in);
-  const SpanBatches decoded = reader.read_all();
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(reader.stream_version(), 1u);
-  ASSERT_TRUE(reader.saw_footer());
-  EXPECT_EQ(reader.footer().span_count, 1u);
-  EXPECT_EQ(reader.footer().dropped_annotations, 7u);
-  EXPECT_EQ(reader.footer().remote_dropped_spans, 11u);
-  EXPECT_EQ(reader.footer().sampled_kept, 0u);
-  EXPECT_EQ(reader.footer().sampled_dropped, 0u);
-  EXPECT_EQ(reader.meta().sampled_kept, 0u);
-  EXPECT_EQ(reader.meta().sampled_dropped, 0u);
-}
-
-TEST(WireVersionCompat, V2FooterRoundTripsSampledCounters) {
-  TraceMeta meta;
-  meta.sampled_kept = 1234;
-  meta.sampled_dropped = 8766;
-  const SpanBatches batches = {{make_span(1, 100)}};
-  const std::string bytes = encode(batches, &meta);
-  std::istringstream in(bytes);
-  BinaryReader reader(in);
-  (void)reader.read_all();
-  EXPECT_EQ(reader.stream_version(), wire::kVersion);
-  ASSERT_TRUE(reader.saw_footer());
-  EXPECT_EQ(reader.footer().sampled_kept, 1234u);
-  EXPECT_EQ(reader.footer().sampled_dropped, 8766u);
-  EXPECT_EQ(reader.meta().sampled_kept, 1234u);
-  EXPECT_EQ(reader.meta().sampled_dropped, 8766u);
-}
-
-TEST(WireVersionCompat, RejectsV1SizedFooterOnV2Stream) {
-  // A v2 header promises the 13-field footer; sending the 88-byte v1
-  // payload is truncation, not compatibility.
-  std::string bytes = header_bytes();
-  bytes += frame(wire::FrameType::kFooter, std::string(wire::kFooterSizeV1, '\0'));
-  expect_wire_error(bytes, "footer payload length mismatch");
-}
-
-TEST(WireVersionCompat, RejectsV2SizedFooterOnV1Stream) {
-  std::string bytes = v1_header_bytes();
-  bytes += frame(wire::FrameType::kFooter, std::string(sizeof(wire::Footer), '\0'));
-  expect_wire_error(bytes, "footer payload length mismatch");
-}
-
-TEST(WireVersionCompat, RejectsOversizedV2Footer) {
-  std::string bytes = header_bytes();
-  bytes += frame(wire::FrameType::kFooter, std::string(sizeof(wire::Footer) + 8, '\0'));
-  expect_wire_error(bytes, "footer payload length mismatch");
-}
-
-// --- wire v4 inline tags & legacy-record widening ---------------------------
-
-std::string versioned_header_bytes(std::uint16_t version) {
-  wire::Header h = valid_header();
-  h.version = version;
-  std::string out;
-  put_pod(out, h);
-  return out;
-}
-
-/// A v1–v3 producer's batch payload: each span truncated to the frozen
-/// 200-byte legacy record (the field prefix up to inline_tags, zero-padded
-/// to kLegacySpanSize).
-std::string legacy_span_payload(const std::vector<Span>& spans) {
-  std::string out;
-  put_pod(out, static_cast<std::uint32_t>(spans.size()));
-  for (const Span& s : spans) {
-    char rec[wire::kLegacySpanSize] = {};
-    std::memcpy(rec, &s, offsetof(Span, inline_tags));
-    out.append(rec, sizeof rec);
-  }
-  return out;
-}
-
-std::string legacy_header_bytes(std::uint16_t version) {
-  wire::Header h = valid_header();
-  h.version = version;
-  h.span_size = static_cast<std::uint32_t>(wire::kLegacySpanSize);
-  std::string out;
-  put_pod(out, h);
-  return out;
-}
+// --- inline tags ------------------------------------------------------------
 
 TEST(WireInlineTags, RoundTripInlineValuesThroughWriterAndReader) {
   const StrId key{"request_id"};
@@ -853,127 +788,7 @@ TEST(WireInlineTags, RejectsInlineTagCountBeyondCapacity) {
   expect_wire_error(bytes, "annotation count exceeds capacity");
 }
 
-TEST(WireVersionCompat, LegacySpanRecordsWidenWithEmptyInlineTags) {
-  // Every pre-v4 version: 200-byte records decode field-for-field, the
-  // appended inline-tag map comes back empty.
-  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}, std::uint16_t{3}}) {
-    Span s = make_span(21, 50);
-    s.tags.set(StrId{"legacy_key"}, StrId{"legacy_val"});
-    s.dropped_annotations = 9;
-    std::string delta = delta_entry(s.name.raw(), "wire_op");
-    delta += delta_entry(s.tracer.raw(), "wire_test");
-    delta += delta_entry(StrId{"legacy_key"}.raw(), "legacy_key");
-    delta += delta_entry(StrId{"legacy_val"}.raw(), "legacy_val");
-    std::string bytes = legacy_header_bytes(version);
-    bytes += frame(wire::FrameType::kStringDelta, delta);
-    bytes += frame(wire::FrameType::kSpanBatch, legacy_span_payload({s}));
-
-    std::istringstream in(bytes);
-    BinaryReader reader(in);
-    const SpanBatches decoded = reader.read_all();
-    ASSERT_EQ(decoded.size(), 1u) << "v" << version;
-    const Span& d = decoded[0][0];
-    EXPECT_EQ(d.id, 21u);
-    EXPECT_EQ(d.begin, 50);
-    EXPECT_EQ(d.name, "wire_op");
-    EXPECT_EQ(d.tag_or("legacy_key"), "legacy_val");
-    EXPECT_EQ(d.dropped_annotations, 9u);
-    EXPECT_TRUE(d.inline_tags.empty());
-    EXPECT_EQ(reader.spans_read(), 1u);
-  }
-}
-
-TEST(WireVersionCompat, LegacyRecordWideningDoesNotLeakRecycledInlineTags) {
-  // The same reader decodes a v4-shaped batch (inline tags present) and
-  // then widened legacy records must not inherit the recycled buffer's
-  // tags. Two readers share one SpanBatch via next_batch.
-  Span modern = make_span(3, 0);
-  modern.inline_tags.set(StrId{"grid"}, "[64,1,1]");
-  SpanBatch out;
-  {
-    std::istringstream in(encode({{modern}}));
-    BinaryReader reader(in);
-    ASSERT_TRUE(reader.next_batch(out));
-    EXPECT_FALSE(out[0].inline_tags.empty());
-  }
-  Span legacy = make_span(4, 10);
-  std::string bytes = legacy_header_bytes(3);
-  bytes += frame(wire::FrameType::kStringDelta,
-                 delta_entry(legacy.name.raw(), "wire_op") +
-                     delta_entry(legacy.tracer.raw(), "wire_test"));
-  bytes += frame(wire::FrameType::kSpanBatch, legacy_span_payload({legacy}));
-  std::istringstream in(bytes);
-  BinaryReader reader(in);
-  ASSERT_TRUE(reader.next_batch(out));
-  EXPECT_TRUE(out[0].inline_tags.empty()) << "stale inline tags leaked through widening";
-}
-
-TEST(WireVersionCompat, RejectsLegacySpanSizeOnV4Stream) {
-  // v4 promised the widened record; the legacy size on a v4 header is a
-  // layout mismatch, not compatibility.
-  wire::Header h = valid_header();
-  h.span_size = static_cast<std::uint32_t>(wire::kLegacySpanSize);
-  std::string bytes;
-  put_pod(bytes, h);
-  expect_wire_error(bytes, "span struct size mismatch");
-}
-
-TEST(WireVersionCompat, ModernSpanSizeAcceptedOnPreV4Streams) {
-  // A rebuilt v3 producer may already carry the widened record; the
-  // header's span_size, not the version, drives batch decode.
-  Span s = make_span(6, 0);
-  s.inline_tags.set(StrId{"grid"}, "[32,1,1]");
-  std::string delta = delta_entry(s.name.raw(), "wire_op");
-  delta += delta_entry(s.tracer.raw(), "wire_test");
-  delta += delta_entry(StrId{"grid"}.raw(), "grid");
-  std::string bytes = versioned_header_bytes(3);
-  bytes += frame(wire::FrameType::kStringDelta, delta);
-  bytes += frame(wire::FrameType::kSpanBatch, span_batch_payload({s}));
-  std::istringstream in(bytes);
-  BinaryReader reader(in);
-  const SpanBatches decoded = reader.read_all();
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0][0].inline_tags.value_or(StrId{"grid"}), "[32,1,1]");
-}
-
-TEST(WireVersionCompat, FooterSizeFollowsStreamVersion) {
-  // v1 → 88-byte prefix, v2/v3 → 104, v4 → the full 120-byte struct; the
-  // strtab fields zero-fill on pre-v4 streams.
-  EXPECT_EQ(wire::footer_size(1), wire::kFooterSizeV1);
-  EXPECT_EQ(wire::footer_size(2), wire::kFooterSizeV2);
-  EXPECT_EQ(wire::footer_size(3), wire::kFooterSizeV2);
-  EXPECT_EQ(wire::footer_size(4), sizeof(wire::Footer));
-
-  for (const std::uint16_t version : {std::uint16_t{2}, std::uint16_t{3}}) {
-    wire::Footer f{};
-    f.span_count = 0;
-    f.sampled_kept = 5;
-    std::string bytes = versioned_header_bytes(version);
-    bytes += frame(wire::FrameType::kFooter,
-                   std::string(reinterpret_cast<const char*>(&f), wire::kFooterSizeV2));
-    std::istringstream in(bytes);
-    BinaryReader reader(in);
-    (void)reader.read_all();
-    ASSERT_TRUE(reader.saw_footer()) << "v" << version;
-    EXPECT_EQ(reader.footer().sampled_kept, 5u);
-    EXPECT_EQ(reader.footer().strtab_budget_bytes, 0u);
-    EXPECT_EQ(reader.footer().rejected_interns, 0u);
-  }
-}
-
-TEST(WireVersionCompat, RejectsFullFooterOnV3Stream) {
-  std::string bytes = versioned_header_bytes(3);
-  bytes += frame(wire::FrameType::kFooter, std::string(sizeof(wire::Footer), '\0'));
-  expect_wire_error(bytes, "footer payload length mismatch");
-}
-
-TEST(WireVersionCompat, RejectsV2SizedFooterOnV4Stream) {
-  std::string bytes = header_bytes();
-  bytes += frame(wire::FrameType::kFooter, std::string(wire::kFooterSizeV2, '\0'));
-  expect_wire_error(bytes, "footer payload length mismatch");
-}
-
-// --- wire v3 heartbeats -----------------------------------------------------
+// --- heartbeats -------------------------------------------------------------
 
 wire::Heartbeat sample_heartbeat(std::uint64_t seq) {
   wire::Heartbeat hb{};
@@ -987,12 +802,6 @@ wire::Heartbeat sample_heartbeat(std::uint64_t seq) {
   hb.reconnects = seq;
   hb.outbox_spans = 7;
   return hb;
-}
-
-std::string heartbeat_frame(const wire::Heartbeat& hb) {
-  std::string payload;
-  put_pod(payload, hb);
-  return frame(wire::FrameType::kHeartbeat, payload);
 }
 
 TEST(WireHeartbeat, RoundTripsThroughWriterAndReaderLatestWins) {
@@ -1041,36 +850,6 @@ TEST(WireHeartbeat, WriterFlushesEachHeartbeatPromptly) {
   BinaryReader reader(in);
   (void)reader.read_all();
   EXPECT_EQ(reader.heartbeats_seen(), 1u);
-}
-
-TEST(WireHeartbeat, PreV3StreamsDecodeWithZeroHeartbeats) {
-  // The compat half of the matrix: v1 and v2 streams (no heartbeat
-  // frames) decode exactly as before, reporting zero heartbeats.
-  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
-    Span s = make_span(4, 0);
-    std::string delta = delta_entry(s.name.raw(), "wire_op");
-    delta += delta_entry(s.tracer.raw(), "wire_test");
-    std::string bytes = versioned_header_bytes(version);
-    bytes += frame(wire::FrameType::kStringDelta, delta);
-    bytes += frame(wire::FrameType::kSpanBatch, span_batch_payload({s}));
-    std::istringstream in(bytes);
-    BinaryReader reader(in);
-    const SpanBatches decoded = reader.read_all();
-    ASSERT_EQ(decoded.size(), 1u) << "v" << version;
-    EXPECT_EQ(reader.stream_version(), version);
-    EXPECT_EQ(reader.heartbeats_seen(), 0u);
-    EXPECT_EQ(reader.last_heartbeat().sequence, 0u);
-  }
-}
-
-TEST(WireHeartbeat, RejectsHeartbeatFrameInPreV3Stream) {
-  // A heartbeat frame in a stream whose header claims v1/v2 is a protocol
-  // violation, not a silently tolerated extension.
-  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
-    std::string bytes = versioned_header_bytes(version);
-    bytes += heartbeat_frame(sample_heartbeat(1));
-    expect_wire_error(bytes, "heartbeats require v3");
-  }
 }
 
 TEST(WireHeartbeat, RejectsUndersizedHeartbeatPayload) {

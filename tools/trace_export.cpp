@@ -15,7 +15,7 @@
 //   --level m|ml|mlg profiling levels (default mlg, no GPU metric replay)
 //   --gpu-metrics    collect the four GPU metrics too (implies mlg)
 //   --format chrome|spans|binary   output document (default chrome;
-//                    binary = XSP binary wire v1, src/trace/README.md)
+//                    binary = XSP binary wire v4, src/trace/README.md)
 //   --shards N       trace-server shards (default 1; 0 = per-core default)
 //   --out FILE       output path (required)
 //   --decode IN      decode mode: read binary wire file IN and re-export
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
 
   std::printf("trace_export: %s @ batch %lld on %s (%s, %zu shard%s)\n", opts.model.c_str(),
               static_cast<long long>(opts.batch), opts.system.c_str(),
-              popts.level_string().c_str(), run.trace_shards, run.trace_shards == 1 ? "" : "s");
+              popts.level_string().c_str(), run.shard_count, run.shard_count == 1 ? "" : "s");
   std::printf(
       "trace_export: streamed %llu raw spans / %llu bytes (%s) to %s; "
       "assembled timeline: %zu spans\n",

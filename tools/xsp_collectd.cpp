@@ -1,5 +1,5 @@
 // xsp_collectd — the cross-process trace collector daemon: accepts XSP
-// binary wire streams (v1..v3) from remote producers (trace::RemoteSink),
+// binary wire v4 streams from remote producers (trace::RemoteSink),
 // re-interns and re-ids every span into one fleet-wide
 // ShardedTraceServer, and fans the merged stream out to the same sinks an
 // in-process session would use.
@@ -307,18 +307,7 @@ int run(const Options& opts) {
 
   // Everything accepted is published; push it through the drain seam and
   // finalize the sinks with fleet-wide telemetry.
-  server.flush();
-  trace::TraceMeta meta;
-  meta.dropped_annotations = server.dropped_annotation_count();
-  meta.shard_count = server.shard_count();
-  const auto& table = common::StringTable::global();
-  meta.interned_strings = table.size();
-  meta.interned_bytes = table.approx_bytes();
-  meta.strtab_budget_bytes = table.budget_bytes();
-  meta.rejected_interns = table.rejected_interns();
-  meta.live_slots = server.live_slot_count();
-  meta.retired_slots = server.retired_slot_count();
-  meta.slot_bytes = server.approx_slot_bytes();
+  trace::TraceMeta meta = server.trace_meta();
   const net::CollectorStats stats = service.stats();
   meta.remote_dropped_spans = stats.producer_dropped_spans;
   meta.remote_reconnects = stats.producer_reconnects;
