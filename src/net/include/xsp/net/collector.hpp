@@ -21,12 +21,12 @@
 // connection and increments connections_errored; the daemon itself never
 // dies from a client's bytes.
 //
-// Lifecycle: run() blocks until stop() (SIGTERM handlers just call
-// stop(); it is an atomic store). Stopping enters a graceful drain: the
-// listener closes, existing connections keep draining until EOF/footer or
-// drain_timeout_ms, then the loop returns — the daemon half of the drain
-// protocol in src/trace/README.md (a producer's shutdown_write is "stream
-// complete"; our close after consuming everything is the ack).
+// Lifecycle: run() polls with no timeout until stop(), an atomic store
+// plus a poller wake that SIGTERM handlers call. Stopping enters a
+// graceful drain: the listener closes, connections keep draining until
+// EOF/footer or drain_timeout_ms, then the loop returns — the daemon half
+// of the drain protocol in src/trace/README.md (a producer's shutdown_write
+// is "stream complete"; our close after consuming everything is the ack).
 //
 // Self-metrics: when CollectorOptions::metrics_endpoint is set, a second
 // listener on the *same* poll loop serves `GET /metrics` (Prometheus text
@@ -63,10 +63,6 @@ struct CollectorOptions {
   /// Hard per-connection bound on one frame's payload (and with it the
   /// reassembly buffer). Streams exceeding it are treated as hostile.
   std::size_t max_frame_payload = trace::wire::kMaxFramePayload;
-  /// Bytes per read(2) into the reassembly buffer.
-  std::size_t read_chunk = 64 * 1024;
-  /// Poll granularity — the latency bound on noticing stop().
-  int poll_timeout_ms = 50;
   /// How long a graceful drain waits for connected producers to finish.
   int drain_timeout_ms = 5000;
   /// URI of the HTTP self-metrics endpoint ("tcp://127.0.0.1:9464" or
@@ -127,8 +123,11 @@ class CollectorService {
   void run();
 
   /// Request shutdown + drain. Thread-safe; callable from a signal
-  /// handler (plain atomic store).
-  void stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  /// handler (an atomic store and one write(2)).
+  void stop() noexcept {
+    stop_.store(true, std::memory_order_relaxed);
+    poller_.wake();
+  }
 
   /// The endpoint actually bound (TCP port resolved if 0 was requested).
   [[nodiscard]] const Endpoint& endpoint() const;
@@ -152,9 +151,9 @@ class CollectorService {
   void ingest_batch(Connection& conn);
   void close_connection(std::size_t index);
 
-  void accept_http(Poller& poller);
+  void accept_http();
   /// Progress one HTTP connection; returns false when it should close.
-  bool service_http(Poller& poller, HttpConn& hc, const Poller::Event& ev);
+  bool service_http(HttpConn& hc, const Poller::Event& ev);
   /// Route a parsed request to its response bytes. Run() thread only.
   [[nodiscard]] std::string respond(const HttpRequest& req);
   /// Append the full Prometheus exposition: service counters, per-
@@ -165,6 +164,7 @@ class CollectorService {
   CollectorOptions opts_;
   std::unique_ptr<Listener> listener_;
   std::vector<std::unique_ptr<Connection>> conns_;
+  Poller poller_;  ///< run()'s event loop; stop() wakes it
   std::atomic<bool> stop_{false};
 
   /// HTTP responder state (run() thread only past construction).

@@ -3,11 +3,10 @@
 //
 // Scope is deliberately small: the collector serves tens of producer
 // connections, not tens of thousands, so poll(2) over a rebuilt pollfd
-// vector beats dragging in epoll's lifecycle (and stays portable to the
-// BSDs/macOS where CI might land). Everything is nonblocking; blocking
-// behaviour is composed from poll + retry at the call site, which keeps
-// cancellation (drain on SIGTERM, sender-thread shutdown) a matter of
-// poll timeouts instead of signals interrupting reads.
+// vector beats dragging in epoll's lifecycle. Everything is nonblocking;
+// blocking behaviour is composed from poll + retry at the call site.
+// Cancellation (drain on SIGTERM) is a write to the Poller's wakeup
+// eventfd, so a loop blocked with no timeout notices it at once.
 //
 // Error philosophy: setup errors (bind, listen, bad endpoint) throw
 // NetError — they happen once and mean misconfiguration. Steady-state I/O
@@ -108,9 +107,13 @@ class Listener {
 
 /// Thin poll(2) wrapper: a watch set keyed by fd, rebuilt into a pollfd
 /// vector per wait. O(n) per tick is the right trade at collector scale.
+/// A private eventfd lets any thread or a signal handler end a wait().
 class Poller {
  public:
   enum Interest : short { kReadable = 1, kWritable = 2 };
+
+  /// Opens the wakeup eventfd; throws NetError if it cannot.
+  Poller();
 
   struct Event {
     int fd = -1;
@@ -124,10 +127,13 @@ class Poller {
   void forget(int fd);
   [[nodiscard]] std::size_t watched() const { return watches_.size(); }
 
-  /// Poll once. timeout_ms < 0 waits forever. Returns ready events
-  /// (empty on timeout). The returned reference is invalidated by the
-  /// next wait().
+  /// Poll once. timeout_ms < 0 waits forever. Returns ready events (empty
+  /// on timeout, wake() or a signal). The returned reference is
+  /// invalidated by the next wait().
   const std::vector<Event>& wait(int timeout_ms);
+
+  /// End the current (or next) wait(). Thread- and async-signal-safe.
+  void wake() noexcept;
 
  private:
   struct Watch {
@@ -136,6 +142,7 @@ class Poller {
   };
   std::vector<Watch> watches_;
   std::vector<Event> events_;
+  Socket wake_;  ///< the wakeup eventfd, nonblocking
 };
 
 /// Reassembly buffer for length-prefixed frames arriving in arbitrary

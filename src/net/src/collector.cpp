@@ -24,6 +24,14 @@ std::string conn_label(std::uint64_t id) {
   return "conn=\"" + std::to_string(id) + "\"";
 }
 
+/// Index of the connection whose socket is `fd`, or conns.size().
+template <typename Conns>
+std::size_t index_of(const Conns& conns, int fd) {
+  std::size_t i = 0;
+  while (i < conns.size() && conns[i]->sock.fd() != fd) ++i;
+  return i;
+}
+
 }  // namespace
 
 /// Per-connection ingest state. Everything here is touched only by the
@@ -100,45 +108,28 @@ std::size_t CollectorService::open_connections() const {
 }
 
 void CollectorService::run() {
-  Poller poller;
-  poller.watch(listener_->fd(), Poller::kReadable);
-  if (http_listener_) poller.watch(http_listener_->fd(), Poller::kReadable);
+  poller_.watch(listener_->fd(), Poller::kReadable);
+  if (http_listener_) poller_.watch(http_listener_->fd(), Poller::kReadable);
+  // Read before honoring hangup: POLLHUP with queued bytes still has
+  // frames to ingest; service_connection reads through EOF.
+  const auto service_producer = [this](int fd) {
+    const std::size_t i = index_of(conns_, fd);
+    if (i < conns_.size() && !service_connection(*conns_[i])) close_connection(i);
+  };
   while (!stop_.load(std::memory_order_relaxed)) {
-    for (const Poller::Event& ev : poller.wait(opts_.poll_timeout_ms)) {
+    for (const Poller::Event& ev : poller_.wait(-1)) {
+      const std::size_t h = index_of(http_conns_, ev.fd);
       if (ev.fd == listener_->fd()) {
-        if (ev.readable) {
-          const std::size_t before = conns_.size();
-          accept_pending();
-          for (std::size_t i = before; i < conns_.size(); ++i)
-            poller.watch(conns_[i]->sock.fd(), Poller::kReadable);
+        if (ev.readable) accept_pending();
+      } else if (http_listener_ && ev.fd == http_listener_->fd()) {
+        if (ev.readable) accept_http();
+      } else if (h < http_conns_.size()) {
+        if (!service_http(*http_conns_[h], ev)) {
+          poller_.forget(ev.fd);
+          http_conns_.erase(http_conns_.begin() + static_cast<std::ptrdiff_t>(h));
         }
-        continue;
-      }
-      if (http_listener_ && ev.fd == http_listener_->fd()) {
-        if (ev.readable) accept_http(poller);
-        continue;
-      }
-      bool handled = false;
-      for (std::size_t i = 0; i < http_conns_.size(); ++i) {
-        if (http_conns_[i]->sock.fd() != ev.fd) continue;
-        if (!service_http(poller, *http_conns_[i], ev)) {
-          poller.forget(ev.fd);
-          http_conns_.erase(http_conns_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        }
-        handled = true;
-        break;
-      }
-      if (handled) continue;
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        if (conns_[i]->sock.fd() != ev.fd) continue;
-        // Read before honoring hangup: POLLHUP with queued bytes still
-        // has frames to ingest; service_connection reads through EOF.
-        if (!service_connection(*conns_[i])) {
-          poller.forget(ev.fd);
-          close_connection(i);
-        }
-        break;
+      } else {
+        service_producer(ev.fd);
       }
     }
   }
@@ -146,23 +137,21 @@ void CollectorService::run() {
   // Graceful drain: no new connections, and the metrics endpoint goes
   // down first — scrapes must never extend a drain, and a half-written
   // response to a dying scraper is acceptable where a half-read producer
-  // stream is not.
+  // stream is not. Only producer connections stay watched.
+  for (const auto& hc : http_conns_) poller_.forget(hc->sock.fd());
   http_conns_.clear();
+  if (http_listener_) poller_.forget(http_listener_->fd());
   http_listener_.reset();
+  poller_.forget(listener_->fd());
   listener_.reset();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opts_.drain_timeout_ms);
-  while (!conns_.empty() && std::chrono::steady_clock::now() < deadline) {
-    Poller drain_poller;
-    for (const auto& conn : conns_)
-      drain_poller.watch(conn->sock.fd(), Poller::kReadable);
-    for (const Poller::Event& ev : drain_poller.wait(opts_.poll_timeout_ms)) {
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        if (conns_[i]->sock.fd() != ev.fd) continue;
-        if (!service_connection(*conns_[i])) close_connection(i);
-        break;
-      }
-    }
+  while (!conns_.empty()) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    for (const Poller::Event& ev : poller_.wait(static_cast<int>(left.count())))
+      service_producer(ev.fd);
   }
   // Deadline passed with producers still streaming: cut them off. Their
   // RemoteSinks observe the close and account the loss on their side.
@@ -176,6 +165,7 @@ void CollectorService::accept_pending() {
   for (;;) {
     Socket conn = listener_->accept();
     if (!conn.valid()) return;
+    poller_.watch(conn.fd(), Poller::kReadable);
     conns_.push_back(std::make_unique<Connection>(std::move(conn)));
     conns_.back()->id = next_conn_id_++;
     open_conns_.store(conns_.size(), std::memory_order_relaxed);
@@ -186,11 +176,9 @@ void CollectorService::accept_pending() {
 
 bool CollectorService::service_connection(Connection& conn) {
   char chunk[64 * 1024];
-  const std::size_t chunk_cap =
-      opts_.read_chunk < sizeof chunk ? opts_.read_chunk : sizeof chunk;
   for (;;) {
     std::size_t n = 0;
-    const IoResult r = conn.sock.read_some(chunk, chunk_cap, n);
+    const IoResult r = conn.sock.read_some(chunk, sizeof chunk, n);
     if (r == IoResult::kOk) {
       conn.rx.append(std::string_view(chunk, n));
       conn.bytes += n;
@@ -322,23 +310,23 @@ void CollectorService::close_connection(std::size_t index) {
   }
   // Destroying the socket closes our end — the drain-protocol ack a
   // cleanly-finished producer is waiting for.
+  poller_.forget(conns_[index]->sock.fd());
   conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(index));
   open_conns_.store(conns_.size(), std::memory_order_relaxed);
 }
 
 // --- HTTP metrics endpoint ---------------------------------------------
 
-void CollectorService::accept_http(Poller& poller) {
+void CollectorService::accept_http() {
   for (;;) {
     Socket sock = http_listener_->accept();
     if (!sock.valid()) return;
     http_conns_.push_back(std::make_unique<HttpConn>(std::move(sock)));
-    poller.watch(http_conns_.back()->sock.fd(), Poller::kReadable);
+    poller_.watch(http_conns_.back()->sock.fd(), Poller::kReadable);
   }
 }
 
-bool CollectorService::service_http(Poller& poller, HttpConn& hc,
-                                    const Poller::Event& ev) {
+bool CollectorService::service_http(HttpConn& hc, const Poller::Event& ev) {
   if (ev.readable && !hc.responding) {
     char chunk[4096];
     for (;;) {
@@ -359,7 +347,7 @@ bool CollectorService::service_http(Poller& poller, HttpConn& hc,
         hc.tx = respond(hc.parser.request());
       }
       hc.responding = true;
-      poller.watch(hc.sock.fd(), Poller::kWritable);
+      poller_.watch(hc.sock.fd(), Poller::kWritable);
       break;
     }
   }

@@ -5,11 +5,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 namespace xsp::net {
@@ -277,6 +279,18 @@ Socket Listener::accept() {
 
 // --- Poller ----------------------------------------------------------------
 
+Poller::Poller() : wake_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (!wake_.valid()) throw_errno("eventfd");
+}
+
+void Poller::wake() noexcept {
+  // errno is restored: a signal handler must not clobber the caller's.
+  const int saved_errno = errno;
+  const std::uint64_t one = 1;
+  (void)!::write(wake_.fd(), &one, sizeof one);
+  errno = saved_errno;
+}
+
 void Poller::watch(int fd, short interest) {
   for (Watch& w : watches_) {
     if (w.fd == fd) {
@@ -300,18 +314,19 @@ void Poller::forget(int fd) {
 const std::vector<Poller::Event>& Poller::wait(int timeout_ms) {
   events_.clear();
   std::vector<pollfd> pfds;
-  pfds.reserve(watches_.size());
+  pfds.reserve(watches_.size() + 1);
   for (const Watch& w : watches_) {
     short ev = 0;
     if (w.interest & kReadable) ev |= POLLIN;
     if (w.interest & kWritable) ev |= POLLOUT;
     pfds.push_back(pollfd{w.fd, ev, 0});
   }
-  int rc;
-  do {
-    rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-  } while (rc < 0 && errno == EINTR);
-  if (rc <= 0) return events_;
+  pfds.push_back(pollfd{wake_.fd(), POLLIN, 0});
+  // EINTR returns empty like a timeout; callers re-check their exit test.
+  if (::poll(pfds.data(), pfds.size(), timeout_ms) <= 0) return events_;
+  std::uint64_t wakes = 0;  // reading resets the counter: all wakes consumed
+  if (pfds.back().revents != 0) (void)!::read(wake_.fd(), &wakes, sizeof wakes);
+  pfds.pop_back();
   for (const pollfd& p : pfds) {
     if (p.revents == 0) continue;
     Event e;

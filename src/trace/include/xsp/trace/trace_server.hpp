@@ -19,24 +19,23 @@
 // semantics are unchanged: after flush() every span published
 // happens-before the call is aggregated.
 //
+// Wake rule (kAsync): the first batch sealed while the collector sleeps
+// wakes it (one atomic word; no timer, no batch threshold), so a span's
+// drain lag is its batch's fill time plus one wakeup.
+//
 // A server can also run as one shard of a ShardedTraceServer: the IdStripe
 // constructor parameter stripes the id-block sequence so N shards hand out
 // disjoint span ids with no cross-shard coordination.
 //
 // Producer-slot lifecycle: a (thread, server) slot is registered on the
-// thread's first publish and, since PR 5, reclaimed after the thread
-// exits — a TLS destructor object weakly marks the thread's slots
-// reclaimable on every still-live server it touched (keyed by the
-// process-unique server uid, so a dead server is never dereferenced), and
-// the next drain pass sweeps the marked slots one final time (no span is
-// ever lost), retires them, and parks them on a bounded freelist that new
-// producer threads draw from before growing the registry. A long-lived
-// server fed by ever-fresh worker threads therefore holds O(live threads
-// + kSlotFreelistCapacity) slots instead of O(all threads ever).
+// thread's first publish. When the thread exits, a TLS hook marks its
+// slots on every still-live server (keyed by server uid), and the next
+// drain pass sweeps each one a final time, retires it and parks it on a
+// bounded freelist: O(live threads + kSlotFreelistCapacity) slots (see
+// "Producer-slot lifecycle" in src/trace/README.md).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -269,10 +268,6 @@ class TraceServer final : public SpanSink {
   /// either the server or the registry dies first (handles are weak).
   void bind_metrics(metrics::Registry& registry, metrics::Labels labels = {});
 
-  [[nodiscard]] PublishMode mode() const noexcept { return mode_; }
-
-  [[nodiscard]] IdStripe id_stripe() const noexcept { return stripe_; }
-
   /// True while the background collector thread exists (kAsync only; kSync
   /// must never spawn one).
   [[nodiscard]] bool has_collector() const noexcept { return collector_.joinable(); }
@@ -332,10 +327,12 @@ class TraceServer final : public SpanSink {
 
   /// Called (via detail::SlotRegistry, which pins this server alive for
   /// the duration) when a producer thread exits: mark its slot
-  /// reclaimable and nudge the collector so retirement is prompt.
+  /// reclaimable and wake the collector so retirement is prompt.
   void note_thread_exit(std::uint64_t thread_key);
   friend class detail::SlotRegistry;
 
+  /// Wake the collector; notifies only on the kIdle -> kWake transition.
+  void wake_collector() noexcept;
   void collector_loop();
   /// Move sealed (and, when `steal_active`, partial) batches of every slot
   /// into trace_.
@@ -410,10 +407,9 @@ class TraceServer final : public SpanSink {
   SpanBatches free_batches_;
   std::vector<SpanBatches> free_outers_;
 
-  alignas(64) std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::atomic<std::size_t> pending_batches_{0};
-  std::atomic<bool> stop_{false};
+  /// Collector wake word: kIdle (asleep), kWake (work pending) or kStop.
+  enum : std::uint32_t { kIdle, kWake, kStop };
+  alignas(64) std::atomic<std::uint32_t> wake_{kIdle};
   std::thread collector_;
 
   /// Self-metrics binding (bind_metrics). drain_hist_ is the raw pointer

@@ -142,12 +142,10 @@ TraceServer::~TraceServer() {
   // are never lost while the server is alive. Destruction itself only
   // joins the collector; whatever the owner chose not to take is freed
   // with the slots.
+  // kStop must overwrite a pending kWake, so no wake_collector() here.
   if (collector_.joinable()) {
-    stop_.store(true, std::memory_order_release);
-    {
-      std::lock_guard lk(wake_mu_);
-    }
-    wake_cv_.notify_all();
+    wake_.store(kStop, std::memory_order_release);
+    wake_.notify_one();
     collector_.join();
   }
 }
@@ -292,13 +290,18 @@ void TraceServer::note_thread_exit(std::uint64_t thread_key) {
       }
     }
   }
-  // Retirement happens only inside a drain sweep; nudge the collector so
-  // a churn-heavy but otherwise idle server sheds the ~50KB promptly
-  // instead of waiting out the periodic timeout. (kSync retires on the
-  // next flush/take, exactly like batch draining.)
-  if (marked && mode_ == PublishMode::kAsync) {
-    pending_batches_.fetch_add(1, std::memory_order_release);
-    wake_cv_.notify_one();
+  // Retirement happens only inside a drain sweep; wake the collector so an
+  // idle server sheds the ~50KB promptly (kSync retires on the next flush).
+  if (marked && mode_ == PublishMode::kAsync) wake_collector();
+}
+
+void TraceServer::wake_collector() noexcept {
+  // The load skips the RMW while a wake is pending; the CAS keeps kStop.
+  std::uint32_t idle = kIdle;
+  if (wake_.load(std::memory_order_relaxed) == kIdle &&
+      wake_.compare_exchange_strong(idle, kWake, std::memory_order_release,
+                                    std::memory_order_relaxed)) {
+    wake_.notify_one();
   }
 }
 
@@ -339,14 +342,7 @@ void TraceServer::publish(Span span) {
     sealed = true;
   }
   slot.release();
-  if (sealed && mode_ == PublishMode::kAsync) {
-    // Wake the collector once several batches are ready (its periodic
-    // timeout bounds staleness); per-batch wakeups would have the collector
-    // competing with producers for CPU.
-    if (pending_batches_.fetch_add(1, std::memory_order_release) + 1 >= 16) {
-      wake_cv_.notify_one();
-    }
-  }
+  if (sealed && mode_ == PublishMode::kAsync) wake_collector();
 }
 
 void TraceServer::drain(bool steal_active) {
@@ -610,16 +606,12 @@ void TraceServer::bind_metrics(metrics::Registry& registry, metrics::Labels labe
 }
 
 void TraceServer::collector_loop() {
-  std::unique_lock lk(wake_mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    wake_cv_.wait_for(lk, std::chrono::milliseconds(50), [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_batches_.load(std::memory_order_acquire) > 0;
-    });
-    pending_batches_.store(0, std::memory_order_release);
-    lk.unlock();
+  for (;;) {
+    wake_.wait(kIdle, std::memory_order_acquire);
+    // Clear before draining: a batch sealed after this either lands in
+    // the pass below (its slot lock orders it) or sets the word again.
+    if (wake_.exchange(kIdle, std::memory_order_acquire) == kStop) return;
     drain(/*steal_active=*/false);
-    lk.lock();
   }
 }
 

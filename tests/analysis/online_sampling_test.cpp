@@ -196,12 +196,14 @@ TEST(OnlineSampling, BoundedKernelTableKeepsHeavyHittersWithinErrorBounds) {
   for (int round = 0; round < 200; ++round) {
     for (int h = 0; h < 4; ++h) {
       const std::string name = "heavy_" + std::to_string(h);
-      batch.push_back(kernel_span(++id, id * 100, 90, StrId(name)));
+      ++id;
+      batch.push_back(kernel_span(id, id * 100, 90, StrId(name)));
       ++true_counts[name];
     }
     // One rare kernel per round, cycling over 64 names.
     const std::string rare = "rare_" + std::to_string(round % 64);
-    batch.push_back(kernel_span(++id, id * 100, 90, StrId(rare)));
+    ++id;
+    batch.push_back(kernel_span(id, id * 100, 90, StrId(rare)));
     ++true_counts[rare];
   }
   feed(analyzer, std::move(batch));

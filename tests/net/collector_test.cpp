@@ -421,6 +421,29 @@ TEST(CollectorE2E, ConfiguredFrameBoundIsEnforced) {
 
 // --- connection lifecycle ---------------------------------------------------
 
+TEST(CollectorE2E, StopOnIdleServiceReturnsWithoutWaitingForAPollTick) {
+  // The run() loop polls with no timeout; stop() wakes it through the
+  // poller's wakeup eventfd, so stop + join on an idle service is two
+  // thread handoffs. A loop that polled on a 50 ms tick would see a stop
+  // landing 10 ms into its wait only ~40 ms later; 20 ms leaves room for
+  // scheduler delay on a loaded machine.
+  constexpr int kTrials = 10;
+  std::vector<double> ms;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    RunningCollector collector(uds_endpoint("col_stop_" + std::to_string(trial)));
+    // Let run() reach its blocking poll.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto t0 = std::chrono::steady_clock::now();
+    collector.stop();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(ms[kTrials / 2], 20.0) << "median stop()+join over " << kTrials
+                                   << " trials, max " << ms.back() << " ms";
+}
+
 TEST(CollectorE2E, GracefulDrainConsumesStreamInFlightAtStop) {
   const Endpoint ep = uds_endpoint("col_drain");
   CollectorOptions copts;

@@ -165,7 +165,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
 }
 
 // The signal handler may only do async-signal-safe work; stop() is a
-// relaxed atomic store, nothing more.
+// relaxed atomic store plus one write(2) that wakes the poll loop.
 net::CollectorService* g_service = nullptr;
 
 void handle_stop_signal(int) {
