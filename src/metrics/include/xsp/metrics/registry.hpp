@@ -22,8 +22,8 @@
 //
 // Callback series exist so hot paths need no new code at all: a component
 // registers closures over counters it already maintains (TraceServer's
-// drained/sampled atomics, RemoteSink's drop accounting) and pays nothing
-// until a scrape samples them under the registry lock.
+// drained/sampled atomics) and pays nothing until a scrape samples them
+// under the registry lock.
 #pragma once
 
 #include <atomic>

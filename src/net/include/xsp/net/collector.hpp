@@ -44,9 +44,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -80,19 +82,23 @@ struct CollectorOptions {
   int heartbeat_stale_ms = 5000;
 };
 
-/// Monotonic ingest counters, snapshot via CollectorService::stats().
+/// Ingest counters, snapshot via CollectorService::stats(). All are
+/// monotonic except open_connections. A new counter is one member here
+/// plus one row in kCollectorStatsFields below.
 struct CollectorStats {
   std::uint64_t connections_accepted = 0;
   /// Clean closes: footer seen, or EOF at a frame boundary.
   std::uint64_t connections_closed = 0;
   /// Protocol violations (WireError) and mid-frame disconnects.
   std::uint64_t connections_errored = 0;
+  /// Producer connections open right now (instantaneous).
+  std::uint64_t open_connections = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t spans_ingested = 0;
   std::uint64_t strings_reinterned = 0;
-  std::uint64_t footers_seen = 0;
   /// Wire frames fully parsed across all connections (all types).
   std::uint64_t frames_parsed = 0;
+  std::uint64_t footers_seen = 0;
   /// Wire Heartbeat frames ingested (producer liveness beacons).
   std::uint64_t heartbeats_seen = 0;
   /// HTTP requests answered on the metrics endpoint (any status).
@@ -105,6 +111,65 @@ struct CollectorStats {
   std::uint64_t producer_dropped_spans = 0;
   std::uint64_t producer_reconnects = 0;
 };
+
+/// One CollectorStats counter: its key (xsp_collectd's --stats-json and
+/// stats: lines), its /metrics family, the member, the exposition kind,
+/// and a one-line description.
+struct CollectorStatsField {
+  std::string_view key;
+  std::string_view metric;
+  std::uint64_t CollectorStats::*member;
+  metrics::Kind kind;
+  std::string_view help;
+};
+
+/// Every CollectorStats counter in declaration order. /metrics,
+/// xsp_collectd's JSON and stats: lines, and xsp_top --daemon iterate
+/// this table instead of naming fields.
+inline constexpr CollectorStatsField kCollectorStatsFields[] = {
+    {"connections_accepted", "xsp_collector_connections_accepted_total",
+     &CollectorStats::connections_accepted, metrics::Kind::kCounter,
+     "Producer connections accepted"},
+    {"connections_closed", "xsp_collector_connections_closed_total",
+     &CollectorStats::connections_closed, metrics::Kind::kCounter,
+     "Producer connections closed cleanly"},
+    {"connections_errored", "xsp_collector_connections_errored_total",
+     &CollectorStats::connections_errored, metrics::Kind::kCounter,
+     "Producer connections dropped for protocol violations or truncation"},
+    {"open_connections", "xsp_collector_open_connections", &CollectorStats::open_connections,
+     metrics::Kind::kGauge, "Producer connections currently open"},
+    {"bytes_received", "xsp_collector_bytes_received_total", &CollectorStats::bytes_received,
+     metrics::Kind::kCounter, "Wire bytes received from producers"},
+    // The fleet-accounting headline: what actually reached the sink. CI's
+    // multi-process smoke checks it against the producers' own
+    // sent-minus-dropped totals.
+    {"spans_ingested", "xsp_ingested_spans_total", &CollectorStats::spans_ingested,
+     metrics::Kind::kCounter, "Spans ingested into the collector's sink across all connections"},
+    {"strings_reinterned", "xsp_collector_strings_reinterned_total",
+     &CollectorStats::strings_reinterned, metrics::Kind::kCounter,
+     "Producer string-table entries re-interned"},
+    {"frames_parsed", "xsp_collector_frames_total", &CollectorStats::frames_parsed,
+     metrics::Kind::kCounter, "Wire frames parsed (all types)"},
+    {"footers_seen", "xsp_collector_footers_total", &CollectorStats::footers_seen,
+     metrics::Kind::kCounter, "Stream footer frames ingested"},
+    {"heartbeats_seen", "xsp_collector_heartbeats_total", &CollectorStats::heartbeats_seen,
+     metrics::Kind::kCounter, "Producer heartbeat frames ingested"},
+    {"http_requests", "xsp_collector_http_requests_total", &CollectorStats::http_requests,
+     metrics::Kind::kCounter, "HTTP requests answered on this endpoint"},
+    {"http_errors", "xsp_collector_http_errors_total", &CollectorStats::http_errors,
+     metrics::Kind::kCounter, "HTTP requests answered with a non-200 status"},
+    {"producer_dropped_spans", "xsp_collector_producer_dropped_spans_total",
+     &CollectorStats::producer_dropped_spans, metrics::Kind::kCounter,
+     "Spans producers reported dropping before send (from footers)"},
+    {"producer_reconnects", "xsp_collector_producer_reconnects_total",
+     &CollectorStats::producer_reconnects, metrics::Kind::kCounter,
+     "Reconnects producers reported (from footers)"},
+};
+static_assert(sizeof(CollectorStats) ==
+                  std::size(kCollectorStatsFields) * sizeof(std::uint64_t),
+              "every CollectorStats member needs a kCollectorStatsFields row");
+static_assert(trace::rows_follow_declaration_order<CollectorStats>(kCollectorStatsFields),
+              "kCollectorStatsFields rows must follow CollectorStats' declaration order");
 
 class CollectorService {
  public:
@@ -137,7 +202,6 @@ class CollectorService {
   [[nodiscard]] const Endpoint* metrics_endpoint() const;
 
   [[nodiscard]] CollectorStats stats() const;
-  [[nodiscard]] std::size_t open_connections() const;
 
  private:
   struct Connection;
@@ -175,7 +239,6 @@ class CollectorService {
 
   mutable std::mutex stats_mu_;
   CollectorStats stats_;
-  std::atomic<std::size_t> open_conns_{0};
 };
 
 }  // namespace xsp::net

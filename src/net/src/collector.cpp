@@ -103,10 +103,6 @@ CollectorStats CollectorService::stats() const {
   return stats_;
 }
 
-std::size_t CollectorService::open_connections() const {
-  return open_conns_.load(std::memory_order_relaxed);
-}
-
 void CollectorService::run() {
   poller_.watch(listener_->fd(), Poller::kReadable);
   if (http_listener_) poller_.watch(http_listener_->fd(), Poller::kReadable);
@@ -168,9 +164,9 @@ void CollectorService::accept_pending() {
     poller_.watch(conn.fd(), Poller::kReadable);
     conns_.push_back(std::make_unique<Connection>(std::move(conn)));
     conns_.back()->id = next_conn_id_++;
-    open_conns_.store(conns_.size(), std::memory_order_relaxed);
     std::lock_guard lk(stats_mu_);
     ++stats_.connections_accepted;
+    stats_.open_connections = conns_.size();
   }
 }
 
@@ -300,19 +296,18 @@ void CollectorService::ingest_batch(Connection& conn) {
 }
 
 void CollectorService::close_connection(std::size_t index) {
-  {
-    std::lock_guard lk(stats_mu_);
-    if (conns_[index]->errored) {
-      ++stats_.connections_errored;
-    } else {
-      ++stats_.connections_closed;
-    }
-  }
+  const bool errored = conns_[index]->errored;
   // Destroying the socket closes our end — the drain-protocol ack a
   // cleanly-finished producer is waiting for.
   poller_.forget(conns_[index]->sock.fd());
   conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(index));
-  open_conns_.store(conns_.size(), std::memory_order_relaxed);
+  std::lock_guard lk(stats_mu_);
+  if (errored) {
+    ++stats_.connections_errored;
+  } else {
+    ++stats_.connections_closed;
+  }
+  stats_.open_connections = conns_.size();
 }
 
 // --- HTTP metrics endpoint ---------------------------------------------
@@ -404,57 +399,10 @@ void CollectorService::build_metrics_text(std::string& out) {
   using metrics::append_sample_line;
 
   const CollectorStats s = stats();
-
-  const auto family = [&out](std::string_view name, std::string_view help,
-                             Kind kind, std::uint64_t value) {
-    append_family_header(out, name, help, kind);
-    append_sample_line(out, name, {}, value);
-  };
-
-  // The fleet-accounting headline: what actually reached the sink. CI's
-  // multi-process smoke checks this against the producers' own
-  // sent-minus-dropped totals.
-  family("xsp_ingested_spans_total",
-         "Spans ingested into the collector's sink across all connections",
-         Kind::kCounter, s.spans_ingested);
-  family("xsp_collector_connections_accepted_total",
-         "Producer connections accepted", Kind::kCounter,
-         s.connections_accepted);
-  family("xsp_collector_connections_closed_total",
-         "Producer connections closed cleanly", Kind::kCounter,
-         s.connections_closed);
-  family("xsp_collector_connections_errored_total",
-         "Producer connections dropped for protocol violations or truncation",
-         Kind::kCounter, s.connections_errored);
-  family("xsp_collector_bytes_received_total",
-         "Wire bytes received from producers", Kind::kCounter,
-         s.bytes_received);
-  family("xsp_collector_frames_total", "Wire frames parsed (all types)",
-         Kind::kCounter, s.frames_parsed);
-  family("xsp_collector_strings_reinterned_total",
-         "Producer string-table entries re-interned", Kind::kCounter,
-         s.strings_reinterned);
-  family("xsp_collector_footers_total", "Stream footer frames ingested",
-         Kind::kCounter, s.footers_seen);
-  family("xsp_collector_heartbeats_total",
-         "Producer heartbeat frames ingested", Kind::kCounter,
-         s.heartbeats_seen);
-  family("xsp_collector_producer_dropped_spans_total",
-         "Spans producers reported dropping before send (from footers)",
-         Kind::kCounter, s.producer_dropped_spans);
-  family("xsp_collector_producer_reconnects_total",
-         "Reconnects producers reported (from footers)", Kind::kCounter,
-         s.producer_reconnects);
-  family("xsp_collector_http_requests_total",
-         "HTTP requests answered on this endpoint", Kind::kCounter,
-         s.http_requests);
-  family("xsp_collector_http_errors_total",
-         "HTTP requests answered with a non-200 status", Kind::kCounter,
-         s.http_errors);
-  append_family_header(out, "xsp_collector_open_connections",
-                       "Producer connections currently open", Kind::kGauge);
-  append_sample_line(out, "xsp_collector_open_connections", {},
-                     static_cast<std::uint64_t>(conns_.size()));
+  for (const CollectorStatsField& f : kCollectorStatsFields) {
+    append_family_header(out, f.metric, f.help, f.kind);
+    append_sample_line(out, f.metric, {}, s.*f.member);
+  }
 
   // Bounded-interning health of the collector's own global table — the
   // table every producer stream re-interns into. CI's multi-process smoke
@@ -467,9 +415,10 @@ void CollectorService::build_metrics_text(std::string& out) {
                          Kind::kGauge);
     append_sample_line(out, "xsp_strtab_bytes", {},
                        static_cast<std::uint64_t>(table.approx_bytes()));
-    family("xsp_strtab_rejected_total",
-           "Interns rejected by the string-table byte budget or slot ceiling",
-           Kind::kCounter, table.rejected_interns());
+    append_family_header(out, "xsp_strtab_rejected_total",
+                         "Interns rejected by the string-table byte budget or slot ceiling",
+                         Kind::kCounter);
+    append_sample_line(out, "xsp_strtab_rejected_total", {}, table.rejected_interns());
   }
 
   // Per-connection ingest series, one sample per open connection. The
@@ -500,53 +449,18 @@ void CollectorService::build_metrics_text(std::string& out) {
   // live, plus how long ago the last beacon arrived. Only connections
   // that have heartbeated expose these — a producer that has not sent
   // one yet is silent, not flatlined at zero.
-  struct PerHb {
-    std::string_view name;
-    std::string_view help;
-    Kind kind;
-    std::uint64_t wire::Heartbeat::*field;
-  };
-  static constexpr PerHb kPerHb[] = {
-      {"xsp_producer_published_spans_total",
-       "Spans the producer published into its RemoteSink", Kind::kCounter,
-       &wire::Heartbeat::spans_published},
-      {"xsp_producer_sent_spans_total",
-       "Spans the producer put on the wire", Kind::kCounter,
-       &wire::Heartbeat::spans_sent},
-      {"xsp_producer_dropped_spans_total",
-       "Spans the producer dropped under backpressure", Kind::kCounter,
-       &wire::Heartbeat::spans_dropped},
-      {"xsp_producer_shed_spans_total",
-       "Spans the producer shed selectively via its sampler", Kind::kCounter,
-       &wire::Heartbeat::spans_shed},
-      {"xsp_producer_sampled_kept_total",
-       "Spans the producer's admission sampler kept", Kind::kCounter,
-       &wire::Heartbeat::sampled_kept},
-      {"xsp_producer_sampled_dropped_total",
-       "Spans the producer's admission sampler rejected", Kind::kCounter,
-       &wire::Heartbeat::sampled_dropped},
-      {"xsp_producer_reconnects_total",
-       "Reconnects the producer's sink performed", Kind::kCounter,
-       &wire::Heartbeat::reconnects},
-      {"xsp_producer_outbox_spans",
-       "Spans queued in the producer's outbox at last heartbeat",
-       Kind::kGauge, &wire::Heartbeat::outbox_spans},
-      {"xsp_producer_heartbeat_sequence",
-       "Sequence number of the producer's last heartbeat", Kind::kGauge,
-       &wire::Heartbeat::sequence},
-  };
   const bool any_hb = [this] {
     for (const auto& conn : conns_)
       if (conn->decoder.heartbeats_seen() > 0) return true;
     return false;
   }();
   if (any_hb) {
-    for (const PerHb& ph : kPerHb) {
-      append_family_header(out, ph.name, ph.help, ph.kind);
+    for (const wire::HeartbeatField& f : wire::kHeartbeatFields) {
+      append_family_header(out, f.name, f.help, f.kind);
       for (const auto& conn : conns_) {
         if (conn->decoder.heartbeats_seen() == 0) continue;
-        append_sample_line(out, ph.name, conn_label(conn->id),
-                           conn->decoder.last_heartbeat().*ph.field);
+        append_sample_line(out, f.name, conn_label(conn->id),
+                           conn->decoder.last_heartbeat().*f.member);
       }
     }
     const auto now = Clock::now();

@@ -20,13 +20,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "xsp/analysis/online.hpp"
 #include "xsp/common/clock.hpp"
 #include "xsp/cupti/cupti.hpp"
 #include "xsp/framework/executor.hpp"
-#include "xsp/metrics/registry.hpp"
 #include "xsp/sim/device.hpp"
 #include "xsp/trace/export.hpp"
 #include "xsp/trace/remote_sink.hpp"
@@ -48,7 +46,6 @@ struct ProfileOptions {
   /// Collect the four GPU metrics of Section III-D3 (requires gpu_level;
   /// expensive: kernels are replayed per counter group).
   bool gpu_metrics = false;
-  trace::PublishMode publish_mode = trace::PublishMode::kAsync;
   /// Trace-server shards to collect into. 1 (default) collects into a
   /// single server; 0 means one shard per hardware thread (capped); >1
   /// fans publication out across that many independent shards, merged at
@@ -56,8 +53,6 @@ struct ProfileOptions {
   /// session's trace plumbing is shared with concurrent publishers — but
   /// any setting yields an identical assembled timeline.
   std::size_t trace_shards = 1;
-  /// How publishers map to shards when trace_shards != 1.
-  trace::ShardPolicy shard_policy = trace::ShardPolicy::kByThread;
   /// Deterministic timing jitter (fraction; 0 disables) + seed, for
   /// multi-run statistics.
   double timing_jitter = 0;
@@ -238,18 +233,6 @@ class Session {
   /// pairs it with live_snapshot()); all zeros before the first run.
   [[nodiscard]] SlotTelemetry slot_telemetry() const;
 
-  /// Register the session's collection machinery with a self-metrics
-  /// registry: every fleet shard's series (TraceServer::bind_metrics,
-  /// labeled by shard under `labels`) and, when remote forwarding is
-  /// active, the RemoteSink's health series. profile() rebinds
-  /// automatically whenever it reconfigures the fleet or reconnects the
-  /// sink, so the registry tracks the *current* fleet across runs. Pass
-  /// nullptr to stop binding (existing series unregister when their
-  /// components die). The registry must outlive the session or the next
-  /// unbind, whichever comes first. Zero publish-hot-path cost — see
-  /// TraceServer::bind_metrics.
-  void bind_metrics(metrics::Registry* registry, metrics::Labels labels = {});
-
   [[nodiscard]] sim::GpuDevice& device() noexcept { return device_; }
   [[nodiscard]] SimClock& clock() noexcept { return clock_; }
   [[nodiscard]] framework::Executor& executor() noexcept { return executor_; }
@@ -295,14 +278,6 @@ class Session {
   std::unique_ptr<trace::Tracer> layer_tracer_;
   std::unique_ptr<trace::Tracer> library_tracer_;
   std::unique_ptr<trace::Tracer> gpu_tracer_;
-  /// Self-metrics binding (bind_metrics): applied to the live fleet and
-  /// sink, and re-applied by profile() after reconfiguration.
-  metrics::Registry* metrics_registry_ = nullptr;
-  metrics::Labels metrics_labels_;
-  /// Bounded-interning series (xsp_strtab_*): callback series over the
-  /// process-global StringTable, registered once per bind_metrics call —
-  /// unlike the fleet series they never need rebinding on fleet swaps.
-  std::vector<metrics::CallbackHandle> strtab_series_;
 };
 
 }  // namespace xsp::profile

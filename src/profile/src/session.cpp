@@ -82,31 +82,6 @@ SlotTelemetry Session::slot_telemetry() const {
   return t;
 }
 
-void Session::bind_metrics(metrics::Registry* registry, metrics::Labels labels) {
-  metrics_registry_ = registry;
-  metrics_labels_ = std::move(labels);
-  strtab_series_.clear();
-  if (metrics_registry_ == nullptr) return;
-  // Bind whatever exists now; profile() re-applies the binding whenever
-  // it swaps the fleet or the sink (the dying component released its
-  // series first, so names never collide).
-  std::lock_guard lk(server_mu_);
-  if (server_ != nullptr) server_->bind_metrics(*metrics_registry_, metrics_labels_);
-  if (remote_ != nullptr) remote_->bind_metrics(*metrics_registry_, metrics_labels_);
-  // Bounded-interning health: the process-global table's footprint and its
-  // lifetime rejection count. Samples are two relaxed atomic loads (plus
-  // sharded shared locks for approx_bytes), scrape-time only.
-  strtab_series_.push_back(metrics_registry_->callback(
-      "xsp_strtab_bytes", "Approximate resident bytes in the global string table",
-      metrics::Kind::kGauge, metrics_labels_,
-      [] { return static_cast<double>(common::StringTable::global().approx_bytes()); }));
-  strtab_series_.push_back(metrics_registry_->callback(
-      "xsp_strtab_rejected_total",
-      "Interns rejected by the string-table byte budget or slot ceiling",
-      metrics::Kind::kCounter, metrics_labels_,
-      [] { return static_cast<double>(common::StringTable::global().rejected_interns()); }));
-}
-
 trace::SpanId Session::start_span(trace::StrId name, trace::SpanId parent) {
   if (!model_tracer_) return trace::kNoSpan;
   return model_tracer_->start_span(name, clock_.now(), parent);
@@ -130,19 +105,12 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
   // empty, and reuse is what lets the recycled batch buffers below feed
   // the next run's publication.
   if (server_ == nullptr ||
-      server_->shard_count() != trace::ShardedTraceServer::resolve_shard_count(options.trace_shards) ||
-      server_->mode() != options.publish_mode || server_->policy() != options.shard_policy) {
-    auto fresh = std::make_unique<trace::ShardedTraceServer>(
-        options.trace_shards, options.publish_mode, options.shard_policy);
+      server_->shard_count() != trace::ShardedTraceServer::resolve_shard_count(options.trace_shards)) {
+    auto fresh = std::make_unique<trace::ShardedTraceServer>(options.trace_shards);
     // Only the pointer swap is guarded: slot_telemetry() on a dashboard
     // thread must never catch the fleet mid-replacement.
-    {
-      std::lock_guard lk(server_mu_);
-      server_ = std::move(fresh);
-    }
-    // Rebind after the swap: the old fleet's destructor released its
-    // series, so the new fleet can register the same names.
-    if (metrics_registry_ != nullptr) server_->bind_metrics(*metrics_registry_, metrics_labels_);
+    std::lock_guard lk(server_mu_);
+    server_ = std::move(fresh);
   } else {
     // A prior run that threw mid-publication may have left spans queued;
     // a reused fleet must start the run empty (and with drop counters
@@ -276,8 +244,6 @@ RunTrace Session::profile(const framework::Graph& graph, const ProfileOptions& o
       remote_ = std::make_unique<trace::RemoteSink>(
           net::Endpoint::parse(options.remote_endpoint));
       remote_uri_ = options.remote_endpoint;
-      if (metrics_registry_ != nullptr)
-        remote_->bind_metrics(*metrics_registry_, metrics_labels_);
     }
     // The forwarded batches were already admitted by the fleet's sampler;
     // the sink uses the policy only to shed low-value spans first when

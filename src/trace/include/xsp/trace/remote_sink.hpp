@@ -19,8 +19,8 @@
 //     spans_shed() and spans_dropped(); survivors that still do not fit —
 //     and whole batches when no sampler is attached — drop blind,
 //     spans_dropped() += batch size;
-//   - wire bytes pending past max_wire_pending_bytes (socket saturated
-//     slower than we encode) -> the next batch drops instead of encoding;
+//   - wire bytes pending past a fixed 1 MiB (socket saturated slower
+//     than we encode) -> the next batch drops instead of encoding;
 //   - a dead connection drops the batch being written, then reconnects
 //     with capped exponential backoff. Each reconnect starts a fresh
 //     BinaryWriter — fresh stream header and a StringDelta epoch replayed
@@ -28,8 +28,9 @@
 //     complete without any cross-connection state.
 // Batches still queued in the outbox survive a reconnect (they re-encode
 // against the new epoch); only bytes already half-sent die with the
-// connection. The totals surface as TraceMeta::remote_dropped_spans /
-// remote_reconnects in the stream footer and via accessors here.
+// connection. The totals surface live in the wire Heartbeat frames (the
+// collector's xsp_producer_* series), as TraceMeta::remote_dropped_spans /
+// remote_reconnects in the stream footer, and via accessors here.
 //
 // close(): seals the pending batch, drains the outbox, writes the footer
 // frame, half-closes the socket (shutdown_write = "stream complete"), and
@@ -48,7 +49,6 @@
 #include <mutex>
 #include <thread>
 
-#include "xsp/metrics/registry.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/trace/span.hpp"
 #include "xsp/trace/span_sink.hpp"
@@ -64,16 +64,10 @@ struct RemoteSinkOptions {
   /// Outbox bound: total spans queued for the sender before newly sealed
   /// batches drop with accounting.
   std::size_t max_outbox_spans = 64 * 1024;
-  /// Bound on bytes the FrameSink may hold for a saturated socket before
-  /// batches drop instead of encoding.
-  std::size_t max_wire_pending_bytes = 1 << 20;
   int connect_timeout_ms = 1000;
   /// Reconnect backoff: initial delay, doubling to the cap.
   int backoff_initial_ms = 20;
   int backoff_max_ms = 2000;
-  /// Per-attempt bound on waiting for socket writability before a short
-  /// write returns to the FrameSink buffer.
-  int io_wait_ms = 20;
   /// How long close() waits for the daemon's end-of-stream ack.
   int drain_timeout_ms = 2000;
   /// Cadence of wire Heartbeat frames carrying the sink's live
@@ -155,15 +149,6 @@ class RemoteSink final : public SpanSink {
   /// Heartbeat frames emitted over this sink's lifetime.
   [[nodiscard]] std::uint64_t heartbeats_sent() const noexcept;
 
-  /// Register this sink's health series with a metrics registry (callback
-  /// reads of the accounting atomics — nothing on the publish path). This
-  /// is what makes a wedged producer visible *while* it is wedged:
-  /// xsp_remote_dropped_spans_total / xsp_remote_reconnects_total /
-  /// xsp_remote_outbox_spans update live, not only in the close() footer.
-  /// Rebinding replaces the previous binding; removal is automatic when
-  /// either side dies first.
-  void bind_metrics(metrics::Registry& registry, metrics::Labels labels = {});
-
  private:
   struct Conn;  // socket + writer, owned by the sender thread
 
@@ -206,12 +191,6 @@ class RemoteSink final : public SpanSink {
   std::uint64_t hb_seq_ = 0;
 
   std::thread sender_;
-
-  /// Self-metrics binding (bind_metrics). Declared last so the handles
-  /// are destroyed first: release serializes with in-flight scrapes on
-  /// the registry lock, and every member a sample reads outlives it.
-  std::mutex metrics_mu_;
-  std::vector<metrics::CallbackHandle> metrics_cbs_;
 };
 
 }  // namespace xsp::trace

@@ -43,15 +43,11 @@ enum class ShardPolicy : std::uint8_t {
   /// Hash of the publishing thread (default): each producer thread sticks
   /// to one shard, so its slot, id block, and collector stay shard-local.
   kByThread,
-  /// Hash of the span's tracer id: all spans of one profiler land on one
-  /// shard regardless of which thread publishes them.
-  kByTracer,
-  /// Span begin-timestamp window: time-sliced traces, so one shard holds
-  /// a contiguous window of the timeline.
+  /// Span begin-timestamp window: one shard holds a contiguous window of
+  /// the timeline. Kept for tests, which need deterministic cross-shard
+  /// routing from one thread.
   kByTimeWindow,
 };
-
-const char* shard_policy_name(ShardPolicy p);
 
 class ShardedTraceServer final : public SpanSink {
  public:
@@ -153,8 +149,6 @@ class ShardedTraceServer final : public SpanSink {
   void remove_drain_subscriber(SubscriberId id);
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-  [[nodiscard]] ShardPolicy policy() const noexcept { return policy_; }
-  [[nodiscard]] PublishMode mode() const noexcept { return mode_; }
 
   /// Direct shard access (tests, per-shard telemetry).
   [[nodiscard]] TraceServer& shard(std::size_t i) noexcept { return *shards_[i]; }
@@ -207,7 +201,6 @@ class ShardedTraceServer final : public SpanSink {
   SubscriberId add_subscriber_impl(
       const std::function<DrainSubscriber(std::size_t)>& make_fn, DrainHandoff handoff);
 
-  PublishMode mode_;
   ShardPolicy policy_;
   Ns time_window_;
   std::vector<std::unique_ptr<TraceServer>> shards_;

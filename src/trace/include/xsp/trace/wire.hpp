@@ -49,6 +49,7 @@
 #include <unordered_map>
 
 #include "xsp/common/string_table.hpp"
+#include "xsp/metrics/registry.hpp"
 #include "xsp/trace/span.hpp"
 
 namespace xsp::trace {
@@ -128,20 +129,27 @@ inline constexpr TraceMetaField kTraceMetaFields[] = {
     {"rejected_interns", &TraceMeta::rejected_interns,
      "Interns rejected at the string-table budget or id cap"},
 };
+
+/// True when every row of `fields` names a distinct member of `Record`, in
+/// declaration order. Together with a row-count check (sizeof(Record) ==
+/// rows * 8 for an all-u64 record) it is the compile-time guard each
+/// telemetry table carries: a member without its row fails to build.
+template <typename Record, typename Field, std::size_t N>
+constexpr bool rows_follow_declaration_order(const Field (&fields)[N]) {
+  Record record{};
+  const std::uint64_t* prev = nullptr;
+  for (const Field& f : fields) {
+    const std::uint64_t* at = &(record.*f.member);
+    if (prev != nullptr && !(prev < at)) return false;
+    prev = at;
+  }
+  return true;
+}
+
 static_assert(sizeof(TraceMeta) == std::size(kTraceMetaFields) * sizeof(std::uint64_t),
               "every TraceMeta member needs a kTraceMetaFields row");
-static_assert(
-    [] {
-      TraceMeta m{};
-      const std::uint64_t* prev = nullptr;
-      for (const TraceMetaField& f : kTraceMetaFields) {
-        const std::uint64_t* at = &(m.*f.member);
-        if (prev != nullptr && !(prev < at)) return false;
-        prev = at;
-      }
-      return true;
-    }(),
-    "kTraceMetaFields rows must follow TraceMeta's declaration order");
+static_assert(rows_follow_declaration_order<TraceMeta>(kTraceMetaFields),
+              "kTraceMetaFields rows must follow TraceMeta's declaration order");
 
 /// Bounded-buffer byte sink: the serialization core's output seam. Bytes
 /// append into a fixed-threshold internal buffer and are pushed to the
@@ -298,7 +306,8 @@ static_assert(std::is_trivially_copyable_v<Footer>);
 /// outbox_spans, an instantaneous depth). The collector exposes them as
 /// per-producer metrics and derives staleness from heartbeat arrival age
 /// — a producer whose heartbeats stop while its connection stays open is
-/// dead or stalled, which footers alone can never show.
+/// dead or stalled, which footers alone can never show. A new heartbeat
+/// counter is one member here plus one row in kHeartbeatFields below.
 struct Heartbeat {
   /// 1-based per-stream heartbeat counter (gaps mean dropped frames).
   std::uint64_t sequence;
@@ -318,8 +327,45 @@ struct Heartbeat {
   /// Spans currently queued in the producer's outbox (instantaneous).
   std::uint64_t outbox_spans;
 };
-static_assert(sizeof(Heartbeat) == 9 * sizeof(std::uint64_t));
 static_assert(std::is_trivially_copyable_v<Heartbeat>);
+
+/// One Heartbeat counter: the per-producer series the collector exposes
+/// it as (labeled by connection), the member, its exposition kind, and a
+/// one-line description.
+struct HeartbeatField {
+  std::string_view name;
+  std::uint64_t Heartbeat::*member;
+  metrics::Kind kind;
+  std::string_view help;
+};
+
+/// Every Heartbeat counter in declaration (and wire) order. The
+/// collector's /metrics and xsp_top's per-producer table iterate this
+/// table instead of naming fields.
+inline constexpr HeartbeatField kHeartbeatFields[] = {
+    {"xsp_producer_heartbeat_sequence", &Heartbeat::sequence, metrics::Kind::kGauge,
+     "Sequence number of the producer's last heartbeat"},
+    {"xsp_producer_published_spans_total", &Heartbeat::spans_published, metrics::Kind::kCounter,
+     "Spans the producer published into its RemoteSink"},
+    {"xsp_producer_sent_spans_total", &Heartbeat::spans_sent, metrics::Kind::kCounter,
+     "Spans the producer put on the wire"},
+    {"xsp_producer_dropped_spans_total", &Heartbeat::spans_dropped, metrics::Kind::kCounter,
+     "Spans the producer dropped under backpressure"},
+    {"xsp_producer_shed_spans_total", &Heartbeat::spans_shed, metrics::Kind::kCounter,
+     "Spans the producer shed selectively via its sampler"},
+    {"xsp_producer_sampled_kept_total", &Heartbeat::sampled_kept, metrics::Kind::kCounter,
+     "Spans the producer's admission sampler kept"},
+    {"xsp_producer_sampled_dropped_total", &Heartbeat::sampled_dropped, metrics::Kind::kCounter,
+     "Spans the producer's admission sampler rejected"},
+    {"xsp_producer_reconnects_total", &Heartbeat::reconnects, metrics::Kind::kCounter,
+     "Reconnects the producer's sink performed"},
+    {"xsp_producer_outbox_spans", &Heartbeat::outbox_spans, metrics::Kind::kGauge,
+     "Spans queued in the producer's outbox at last heartbeat"},
+};
+static_assert(sizeof(Heartbeat) == std::size(kHeartbeatFields) * sizeof(std::uint64_t),
+              "every Heartbeat member needs a kHeartbeatFields row");
+static_assert(rows_follow_declaration_order<Heartbeat>(kHeartbeatFields),
+              "kHeartbeatFields rows must follow Heartbeat's declaration order");
 
 }  // namespace wire
 

@@ -11,6 +11,17 @@
 
 namespace xsp::trace {
 
+namespace {
+
+/// Bound on bytes the FrameSink may hold for a saturated socket before
+/// batches drop instead of encoding.
+constexpr std::size_t kMaxWirePendingBytes = std::size_t{1} << 20;
+/// Per-attempt bound on waiting for socket writability before a short
+/// write returns to the FrameSink buffer.
+constexpr int kIoWaitMs = 20;
+
+}  // namespace
+
 /// One connection's state, owned entirely by the sender thread. The
 /// writer's TryWriteFn captures `sock`, so `writer` is declared after it
 /// (destroyed first).
@@ -143,10 +154,9 @@ bool RemoteSink::connect_once(Conn& conn) {
   // Fresh writer = fresh stream header + StringDelta epoch from cursor
   // zero: the collector's new per-connection decoder sees every string.
   net::Socket* raw = &conn.sock;
-  const int io_wait_ms = opts_.io_wait_ms;
   conn.writer = std::make_unique<BinaryWriter>(
       FrameSink::TryWriteFn(
-          [raw, io_wait_ms](std::string_view bytes) -> std::size_t {
+          [raw](std::string_view bytes) -> std::size_t {
             std::size_t total = 0;
             bool waited = false;
             while (total < bytes.size()) {
@@ -163,7 +173,7 @@ bool RemoteSink::connect_once(Conn& conn) {
                 // backpressure policy takes over.
                 if (waited) break;
                 waited = true;
-                raw->wait_writable(io_wait_ms);
+                raw->wait_writable(kIoWaitMs);
                 continue;
               }
               return FrameSink::kWriteError;
@@ -262,10 +272,10 @@ void RemoteSink::sender_loop() {
 
     // Bounded send buffer: encoding into a sink that cannot drain would
     // grow memory without bound, so past the cap the batch drops instead.
-    if (conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
+    if (conn.writer->sink_pending_bytes() > kMaxWirePendingBytes) {
       conn.writer->flush();
       if (!conn.writer->sink_failed() &&
-          conn.writer->sink_pending_bytes() > opts_.max_wire_pending_bytes) {
+          conn.writer->sink_pending_bytes() > kMaxWirePendingBytes) {
         dropped_.fetch_add(batch.size(), std::memory_order_relaxed);
         continue;
       }
@@ -330,7 +340,7 @@ void RemoteSink::finish_stream(Conn& conn) {
                         std::chrono::milliseconds(opts_.drain_timeout_ms);
   while (!conn.writer->sink_failed() && conn.writer->sink_pending_bytes() > 0 &&
          std::chrono::steady_clock::now() < deadline) {
-    conn.sock.wait_writable(opts_.io_wait_ms);
+    conn.sock.wait_writable(kIoWaitMs);
     conn.writer->flush();
   }
   if (conn.writer->sink_failed() || conn.writer->sink_pending_bytes() > 0) {
@@ -355,7 +365,7 @@ void RemoteSink::finish_stream(Conn& conn) {
           deadline - std::chrono::steady_clock::now());
       if (left.count() <= 0) return;
       conn.sock.wait_readable(static_cast<int>(
-          std::min<long long>(left.count(), opts_.io_wait_ms)));
+          std::min<long long>(left.count(), kIoWaitMs)));
     }
     // kOk: the collector never sends payload; discard and keep waiting
     // for EOF.
@@ -402,40 +412,6 @@ std::uint64_t RemoteSink::outbox_spans() const {
 
 std::uint64_t RemoteSink::heartbeats_sent() const noexcept {
   return heartbeats_sent_.load(std::memory_order_relaxed);
-}
-
-void RemoteSink::bind_metrics(metrics::Registry& registry, metrics::Labels labels) {
-  std::lock_guard lk(metrics_mu_);
-  metrics_cbs_.clear();
-  const auto cb = [&](const char* name, const char* help, metrics::Kind kind,
-                      metrics::Sample sample) {
-    metrics_cbs_.push_back(registry.callback(name, help, kind, labels, std::move(sample)));
-  };
-  const auto load = [](const std::atomic<std::uint64_t>& v) {
-    return static_cast<double>(v.load(std::memory_order_relaxed));
-  };
-  cb("xsp_remote_published_spans_total", "Spans handed to the remote sink",
-     metrics::Kind::kCounter, [this, load] { return load(published_); });
-  cb("xsp_remote_sent_spans_total", "Spans fully accepted by the socket layer",
-     metrics::Kind::kCounter, [this, load] { return load(sent_); });
-  cb("xsp_remote_dropped_spans_total",
-     "Spans dropped by backpressure or dead connections (live, not just at close)",
-     metrics::Kind::kCounter, [this, load] { return load(dropped_); });
-  cb("xsp_remote_shed_spans_total", "Low-value spans shed selectively under backpressure",
-     metrics::Kind::kCounter, [this, load] { return load(shed_); });
-  cb("xsp_remote_sampled_kept_total", "Spans the admission sampler kept at publish",
-     metrics::Kind::kCounter, [this, load] { return load(sampled_kept_); });
-  cb("xsp_remote_sampled_dropped_total", "Spans the admission sampler shed at publish",
-     metrics::Kind::kCounter, [this, load] { return load(sampled_dropped_); });
-  cb("xsp_remote_reconnects_total", "Reconnects performed (each opens a fresh wire epoch)",
-     metrics::Kind::kCounter, [this, load] { return load(reconnects_); });
-  cb("xsp_remote_heartbeats_sent_total", "Wire v3 heartbeat frames emitted",
-     metrics::Kind::kCounter, [this, load] { return load(heartbeats_sent_); });
-  cb("xsp_remote_connected", "1 while the socket connection is up",
-     metrics::Kind::kGauge,
-     [this] { return connected_.load(std::memory_order_relaxed) ? 1.0 : 0.0; });
-  cb("xsp_remote_outbox_spans", "Spans queued in the bounded outbox (instantaneous)",
-     metrics::Kind::kGauge, [this] { return static_cast<double>(outbox_spans()); });
 }
 
 void RemoteSink::set_sampler(std::shared_ptr<const Sampler> sampler) {

@@ -195,13 +195,23 @@ errored="$(field errored "$OUT_DIR/collectd.err")"
 [ "$errored" -eq 0 ] || fail "daemon counted $errored errored connections"
 grep '^{' "$OUT_DIR/collectd.out" > "$OUT_DIR/stats_json.out" \
   || fail "--stats-json printed no snapshots"
-python3 - "$OUT_DIR/stats_json.out" <<'EOF' || fail "--stats-json line does not parse"
+# Every snapshot must carry the full key set, so a refactor of the
+# stats table cannot silently drop a counter.
+python3 - "$OUT_DIR/stats_json.out" <<'EOF' || fail "--stats-json line does not parse or lacks a key"
 import json, sys
+KEYS = {
+    "connections_accepted", "connections_closed", "connections_errored",
+    "open_connections", "bytes_received", "spans_ingested",
+    "strings_reinterned", "frames_parsed", "footers_seen", "heartbeats_seen",
+    "http_requests", "http_errors", "producer_dropped_spans",
+    "producer_reconnects",
+}
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 assert lines, "no JSON snapshots"
 for l in lines:
     snap = json.loads(l)
-    assert "spans_ingested" in snap, l
+    missing = KEYS - set(snap)
+    assert not missing, f"missing {sorted(missing)}: {l}"
 EOF
 
 # The merged export must be a decodable wire stream whose span count

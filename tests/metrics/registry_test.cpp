@@ -231,7 +231,9 @@ TEST(RegistryConcurrencyTest, WritersVsScrapingReader) {
     double last_counter = 0.0;
     double last_cb = 0.0;
     std::uint64_t scrapes = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    // Scrape at least once: the writers may all finish before this thread
+    // first checks `stop`.
+    do {
       buf.clear();
       reg.write_prometheus(buf);
       const auto samples = parse_exposition(buf);
@@ -246,7 +248,7 @@ TEST(RegistryConcurrencyTest, WritersVsScrapingReader) {
       last_counter = now_counter;
       last_cb = now_cb;
       ++scrapes;
-    }
+    } while (!stop.load(std::memory_order_acquire));
     EXPECT_GT(scrapes, 0u);
   });
 

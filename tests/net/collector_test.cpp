@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net_test_util.hpp"
+#include "xsp/metrics/exposition.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/socket.hpp"
 #include "xsp/trace/remote_sink.hpp"
@@ -823,6 +824,119 @@ TEST(RemoteSinkSampling, BackpressureShedsSelectivelyBeforeBlindDrops) {
       << "sheds are an of-which breakdown of total drops";
   EXPECT_EQ(sink.spans_sampled_dropped(), 0u) << "rate 1.0 rejects nothing at admission";
   EXPECT_EQ(sink.spans_sent() + sink.spans_dropped(), sink.spans_published());
+}
+
+// --- the telemetry tables drive /metrics ------------------------------------
+
+/// One metric family as a scrape exposes it: its `# TYPE` lines and its
+/// samples (value of the last one seen).
+struct ScrapedFamily {
+  std::vector<std::string> types;
+  int samples = 0;
+  double value = 0;
+};
+
+std::map<std::string, ScrapedFamily> scraped_families(const std::string& body) {
+  std::map<std::string, ScrapedFamily> out;
+  std::size_t pos = 0;
+  while (pos < body.size()) {
+    std::size_t eol = body.find('\n', pos);
+    if (eol == std::string::npos) eol = body.size();
+    const std::string_view line(body.data() + pos, eol - pos);
+    pos = eol + 1;
+    constexpr std::string_view kType = "# TYPE ";
+    if (line.substr(0, kType.size()) == kType) {
+      const std::string_view rest = line.substr(kType.size());
+      const std::size_t sp = rest.find(' ');
+      out[std::string(rest.substr(0, sp))].types.emplace_back(rest.substr(sp + 1));
+      continue;
+    }
+    metrics::ExpositionSample sample;
+    if (!metrics::parse_exposition_line(line, sample)) continue;
+    ScrapedFamily& fam = out[std::string(sample.name)];
+    ++fam.samples;
+    fam.value = sample.value;
+  }
+  return out;
+}
+
+const char* type_name(metrics::Kind kind) {
+  return kind == metrics::Kind::kCounter ? "counter" : "gauge";
+}
+
+TEST(CollectorMetrics, EveryStatsAndHeartbeatFieldIsExposedOnce) {
+  const Endpoint ep = uds_endpoint("col_tables");
+  CollectorOptions copts;
+  copts.metrics_endpoint = "tcp://127.0.0.1:0";
+  RunningCollector collector(ep, copts);
+  const Endpoint scrape_ep = *collector.service.metrics_endpoint();
+
+  // A sampling producer, so the admission counters are non-zero too.
+  trace::RemoteSinkOptions opts;
+  opts.heartbeat_interval_ms = 40;
+  trace::RemoteSink sink(ep, opts);
+  trace::SamplerOptions sopts;
+  sopts.rate = 0.5;
+  sink.set_sampler(std::make_shared<const trace::Sampler>(sopts));
+  publish_fleet_member(sink, 0, 300);
+  sink.flush();
+  ASSERT_GT(sink.spans_sampled_dropped(), 0u);
+  ASSERT_TRUE(wait_until([&] {
+    return sink.spans_sent() == sink.spans_sampled_kept() &&
+           collector.service.stats().spans_ingested == sink.spans_sent();
+  }));
+  // A heartbeat in flight may predate the last send; two more arrivals
+  // guarantee the latest one carries the final counters.
+  const std::uint64_t beats = collector.service.stats().heartbeats_seen;
+  ASSERT_TRUE(wait_until(
+      [&] { return collector.service.stats().heartbeats_seen >= beats + 2; }));
+
+  // Heartbeats keep arriving, so retry until no frame landed during the
+  // scrape; then the scrape must match stats() taken right after it.
+  std::string body;
+  CollectorStats stats;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const std::uint64_t frames = collector.service.stats().frames_parsed;
+    body = scrape_metrics(scrape_ep);
+    stats = collector.service.stats();
+    if (stats.frames_parsed == frames) break;
+  }
+  ASSERT_FALSE(body.empty());
+  const auto families = scraped_families(body);
+
+  for (const CollectorStatsField& f : kCollectorStatsFields) {
+    SCOPED_TRACE(std::string(f.metric));
+    const auto it = families.find(std::string(f.metric));
+    ASSERT_NE(it, families.end()) << body;
+    EXPECT_EQ(it->second.types, std::vector<std::string>{type_name(f.kind)});
+    EXPECT_EQ(it->second.samples, 1);
+    EXPECT_EQ(it->second.value, static_cast<double>(stats.*f.member));
+  }
+
+  // One connection that never reconnected: its heartbeat sequence is the
+  // collector's heartbeat count, the rest are the sink's own counters.
+  trace::wire::Heartbeat want{};
+  want.sequence = stats.heartbeats_seen;
+  want.spans_published = sink.spans_published();
+  want.spans_sent = sink.spans_sent();
+  want.spans_dropped = sink.spans_dropped();
+  want.spans_shed = sink.spans_shed();
+  want.sampled_kept = sink.spans_sampled_kept();
+  want.sampled_dropped = sink.spans_sampled_dropped();
+  want.reconnects = sink.reconnects();
+  want.outbox_spans = sink.outbox_spans();
+  for (const trace::wire::HeartbeatField& f : trace::wire::kHeartbeatFields) {
+    SCOPED_TRACE(std::string(f.name));
+    const auto it = families.find(std::string(f.name));
+    ASSERT_NE(it, families.end()) << body;
+    EXPECT_EQ(it->second.types, std::vector<std::string>{type_name(f.kind)});
+    EXPECT_EQ(it->second.samples, 1);
+    EXPECT_EQ(it->second.value, static_cast<double>(want.*f.member));
+  }
+
+  sink.close();
+  collector.stop();
+  EXPECT_EQ(collector.service.stats().connections_errored, 0u);
 }
 
 }  // namespace

@@ -130,14 +130,6 @@ TEST(Session, ProfilingLevelsInflateModelLatency) {
   EXPECT_LT(mlg, mlgm);  // metric replay is the expensive step
 }
 
-TEST(Session, SyncPublishModeWorksToo) {
-  Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
-  auto opts = ProfileOptions::full(false);
-  opts.publish_mode = trace::PublishMode::kSync;
-  const auto run = s.profile(small_graph(), opts);
-  EXPECT_GT(run.timeline.size(), 10u);
-}
-
 TEST(Session, ManualSpansNestByExplicitParent) {
   Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
   // start_span is only live during profile(); simulate a user region by

@@ -85,24 +85,6 @@ TEST(ShardedTraceServer, ByThreadRoutingSticksToOneShard) {
   }
 }
 
-TEST(ShardedTraceServer, ByTracerRoutingGroupsSpansByTracer) {
-  ShardedTraceServer server(4, PublishMode::kSync, ShardPolicy::kByTracer);
-  const StrId tracers[] = {"cupti", "framework_profiler", "model_timer"};
-  for (const StrId tracer : tracers) {
-    Span probe;
-    probe.tracer = tracer;
-    const std::size_t expected = server.shard_for(probe);
-    const std::size_t before = server.shard(expected).span_count();
-    for (int i = 0; i < 10; ++i) {
-      Span s = make_span(server.next_span_id(), i, i + 1);
-      s.tracer = tracer;
-      server.publish(std::move(s));
-    }
-    EXPECT_EQ(server.shard(expected).span_count(), before + 10);
-  }
-  EXPECT_EQ(server.span_count(), 30u);
-}
-
 TEST(ShardedTraceServer, ByTimeWindowRoutingSlicesTheTimeline) {
   constexpr Ns kWindow = 1000;
   ShardedTraceServer server(2, PublishMode::kSync, ShardPolicy::kByTimeWindow, kWindow);

@@ -36,11 +36,13 @@
 // SIGTERM/SIGINT. Shutdown drains connected producers (bounded by
 // --drain-timeout-ms), finishes the export sinks, and prints
 // machine-greppable ingest stats on *stderr* (stdout belongs to trace
-// output and --stats-json objects, which scripts filter with /^{/):
+// output and --stats-json objects, which scripts filter with /^{/), one
+// line per net::kCollectorStatsFields row plus the string-table line:
 //
-//   stats: connections_accepted=4 closed=4 errored=0
-//   stats: spans_ingested=4000 strings_reinterned=52 bytes_received=...
-//   stats: footers_seen=4 producer_dropped_spans=0 producer_reconnects=0
+//   stats: connections_accepted=4
+//   stats: spans_ingested=4000
+//   ...
+//   stats: strtab_bytes=... strtab_budget=... rejected_interns=0
 //
 // The CI multi-process job asserts exact spans_ingested against what the
 // producer fleet reported publishing, and scrapes /metrics mid-run to
@@ -172,33 +174,19 @@ void handle_stop_signal(int) {
   if (g_service != nullptr) g_service->stop();
 }
 
-/// One flat JSON object with the full stats snapshot, emitted as a single
-/// line so scripts can stream-parse stdout (every --stats-json line starts
-/// with '{'; everything else on stdout starts with a word).
+/// One flat JSON object with the full stats snapshot, one key per
+/// net::kCollectorStatsFields row, emitted as a single line so scripts can
+/// stream-parse stdout (every --stats-json line starts with '{';
+/// everything else on stdout starts with a word).
 void print_stats_json(const net::CollectorService& service) {
   const net::CollectorStats s = service.stats();
-  std::printf(
-      "{\"connections_accepted\":%llu,\"connections_closed\":%llu,"
-      "\"connections_errored\":%llu,\"open_connections\":%llu,"
-      "\"bytes_received\":%llu,\"spans_ingested\":%llu,"
-      "\"strings_reinterned\":%llu,\"frames_parsed\":%llu,"
-      "\"footers_seen\":%llu,\"heartbeats_seen\":%llu,"
-      "\"http_requests\":%llu,\"http_errors\":%llu,"
-      "\"producer_dropped_spans\":%llu,\"producer_reconnects\":%llu}\n",
-      static_cast<unsigned long long>(s.connections_accepted),
-      static_cast<unsigned long long>(s.connections_closed),
-      static_cast<unsigned long long>(s.connections_errored),
-      static_cast<unsigned long long>(service.open_connections()),
-      static_cast<unsigned long long>(s.bytes_received),
-      static_cast<unsigned long long>(s.spans_ingested),
-      static_cast<unsigned long long>(s.strings_reinterned),
-      static_cast<unsigned long long>(s.frames_parsed),
-      static_cast<unsigned long long>(s.footers_seen),
-      static_cast<unsigned long long>(s.heartbeats_seen),
-      static_cast<unsigned long long>(s.http_requests),
-      static_cast<unsigned long long>(s.http_errors),
-      static_cast<unsigned long long>(s.producer_dropped_spans),
-      static_cast<unsigned long long>(s.producer_reconnects));
+  const char* sep = "{";
+  for (const net::CollectorStatsField& f : net::kCollectorStatsFields) {
+    std::printf("%s\"%.*s\":%llu", sep, static_cast<int>(f.key.size()), f.key.data(),
+                static_cast<unsigned long long>(s.*f.member));
+    sep = ",";
+  }
+  std::printf("}\n");
   std::fflush(stdout);
 }
 
@@ -327,24 +315,14 @@ int run(const Options& opts) {
 
   // stats: lines live on stderr so they can never interleave with trace
   // output (or --stats-json objects) on stdout.
-  std::fprintf(stderr, "stats: connections_accepted=%llu closed=%llu errored=%llu\n",
-               static_cast<unsigned long long>(stats.connections_accepted),
-               static_cast<unsigned long long>(stats.connections_closed),
-               static_cast<unsigned long long>(stats.connections_errored));
-  std::fprintf(stderr,
-               "stats: spans_ingested=%llu strings_reinterned=%llu bytes_received=%llu\n",
-               static_cast<unsigned long long>(stats.spans_ingested),
-               static_cast<unsigned long long>(stats.strings_reinterned),
-               static_cast<unsigned long long>(stats.bytes_received));
+  for (const net::CollectorStatsField& f : net::kCollectorStatsFields) {
+    std::fprintf(stderr, "stats: %.*s=%llu\n", static_cast<int>(f.key.size()), f.key.data(),
+                 static_cast<unsigned long long>(stats.*f.member));
+  }
   std::fprintf(stderr, "stats: strtab_bytes=%llu strtab_budget=%llu rejected_interns=%llu\n",
                static_cast<unsigned long long>(meta.interned_bytes),
                static_cast<unsigned long long>(meta.strtab_budget_bytes),
                static_cast<unsigned long long>(meta.rejected_interns));
-  std::fprintf(stderr,
-               "stats: footers_seen=%llu producer_dropped_spans=%llu producer_reconnects=%llu\n",
-               static_cast<unsigned long long>(stats.footers_seen),
-               static_cast<unsigned long long>(stats.producer_dropped_spans),
-               static_cast<unsigned long long>(stats.producer_reconnects));
   std::fflush(stderr);
   if (analyzer) {
     const analysis::OnlineSnapshot snap = analyzer->snapshot();

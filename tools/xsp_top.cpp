@@ -46,10 +46,11 @@
 //   xsp_top --daemon tcp://127.0.0.1:9464 --runs 5 --interval-ms 1000
 //
 //   --daemon URI      scrape GET /metrics on a running xsp_collectd's
-//                     metrics endpoint and render the collector's ingest
-//                     counters plus a per-producer health table (spans
-//                     published/sent/dropped, outbox depth, heartbeat age,
-//                     staleness) from the wire heartbeat series.
+//                     metrics endpoint and render every collector counter
+//                     (net::kCollectorStatsFields) plus a per-producer
+//                     health table: every wire heartbeat counter
+//                     (trace::wire::kHeartbeatFields), heartbeat age and
+//                     staleness.
 //                     --runs scrapes, --interval-ms apart.
 #include <atomic>
 #include <cerrno>
@@ -68,6 +69,7 @@
 #include "xsp/analysis/online.hpp"
 #include "xsp/metrics/exposition.hpp"
 #include "xsp/models/registry.hpp"
+#include "xsp/net/collector.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/socket.hpp"
 #include "xsp/profile/session.hpp"
@@ -372,45 +374,57 @@ FleetView parse_exposition(const std::string& body) {
   return view;
 }
 
+/// Column header for a heartbeat series: its name without the
+/// xsp_producer_ prefix and _total suffix ("published_spans").
+std::string_view producer_column(std::string_view metric) {
+  metric.remove_prefix(std::string_view("xsp_producer_").size());
+  if (metric.ends_with("_total")) metric.remove_suffix(std::string_view("_total").size());
+  return metric;
+}
+
 void render_fleet(const FleetView& view, std::int64_t scrape, std::int64_t total) {
-  const auto scalar = [&view](const char* name) -> double {
-    const auto it = view.scalars.find(name);
-    return it != view.scalars.end() ? it->second : 0.0;
+  const auto value = [](const std::map<std::string, double>& values, std::string_view name) {
+    const auto it = values.find(std::string(name));
+    return it != values.end() ? it->second : 0.0;
   };
   std::printf("--- xsp_top --daemon | scrape %lld/%lld%s ---\n",
               static_cast<long long>(scrape), static_cast<long long>(total),
               scrape == total ? " | final" : "");
-  std::printf("ingested %.0f spans | connections: %.0f open, %.0f accepted, %.0f closed, "
-              "%.0f errored\n",
-              scalar("xsp_ingested_spans_total"), scalar("xsp_collector_open_connections"),
-              scalar("xsp_collector_connections_accepted_total"),
-              scalar("xsp_collector_connections_closed_total"),
-              scalar("xsp_collector_connections_errored_total"));
-  std::printf("wire: %.0f B, %.0f frames, %.0f heartbeats | producers reported: %.0f dropped, "
-              "%.0f reconnects\n",
-              scalar("xsp_collector_bytes_received_total"),
-              scalar("xsp_collector_frames_total"), scalar("xsp_collector_heartbeats_total"),
-              scalar("xsp_collector_producer_dropped_spans_total"),
-              scalar("xsp_collector_producer_reconnects_total"));
-  std::printf("strtab: ~%.0f B, rejected %.0f\n", scalar("xsp_strtab_bytes"),
-              scalar("xsp_strtab_rejected_total"));
+  std::printf("ingested %.0f spans\n", value(view.scalars, "xsp_ingested_spans_total"));
+  // Every collector counter as key=value pairs, wrapped near 80 columns.
+  std::string line = "collector:";
+  for (const net::CollectorStatsField& f : net::kCollectorStatsFields) {
+    if (line.size() > 72) {
+      std::printf("%s\n", line.c_str());
+      line = "          ";
+    }
+    line += ' ';
+    line += f.key;
+    line += '=';
+    line += format_double(value(view.scalars, f.metric), "%.0f");
+  }
+  std::printf("%s\n", line.c_str());
+  std::printf("strtab: ~%.0f B, rejected %.0f\n", value(view.scalars, "xsp_strtab_bytes"),
+              value(view.scalars, "xsp_strtab_rejected_total"));
   if (!view.per_conn.empty()) {
-    report::TextTable table(
-        {"conn", "published", "sent", "dropped", "outbox", "hb age", "stale"});
+    std::vector<std::string> header{"conn"};
+    for (const trace::wire::HeartbeatField& f : trace::wire::kHeartbeatFields)
+      header.emplace_back(producer_column(f.name));
+    header.emplace_back("hb age");
+    header.emplace_back("stale");
+    report::TextTable table(header);
     for (const auto& [conn, fields] : view.per_conn) {
-      const auto field = [&fields = fields](const char* name) -> double {
-        const auto it = fields.find(name);
-        return it != fields.end() ? it->second : 0.0;
-      };
-      // Connections without heartbeat series still show their ingest side.
+      // Connections without heartbeat series show "-", not zeros: silence
+      // is not health data.
       const bool has_hb = fields.count("xsp_producer_heartbeat_age_seconds") > 0;
-      table.add_row({conn, format_double(field("xsp_producer_published_spans_total"), "%.0f"),
-                     format_double(field("xsp_producer_sent_spans_total"), "%.0f"),
-                     format_double(field("xsp_producer_dropped_spans_total"), "%.0f"),
-                     format_double(field("xsp_producer_outbox_spans"), "%.0f"),
-                     has_hb ? format_double(field("xsp_producer_heartbeat_age_seconds"), "%.2fs")
-                            : "-",
-                     !has_hb ? "-" : (field("xsp_producer_stale") > 0 ? "STALE" : "ok")});
+      std::vector<std::string> row{conn};
+      for (const trace::wire::HeartbeatField& f : trace::wire::kHeartbeatFields)
+        row.push_back(has_hb ? format_double(value(fields, f.name), "%.0f") : "-");
+      row.push_back(has_hb ? format_double(value(fields, "xsp_producer_heartbeat_age_seconds"),
+                                           "%.2fs")
+                           : "-");
+      row.push_back(!has_hb ? "-" : (value(fields, "xsp_producer_stale") > 0 ? "STALE" : "ok"));
+      table.add_row(row);
     }
     std::printf("%s", table.str().c_str());
   }
