@@ -14,10 +14,13 @@
 // the caller knows a serialized re-run is needed.
 //
 // Storage: nodes live in one flat vector ordered by (begin, id), with a
-// side index from span id to vector position. The per-level interval trees
-// are built once per assembly and queried with allocation-free stabbing
-// visits, so assembling a trace of n spans performs O(n log n) work and
-// O(n) allocations total rather than per-lookup.
+// side index from span id to vector position. Assembly never moves a span:
+// it sorts small keys instead ({correlation id, position} keys merge-joined
+// to pair launches with executions, then {begin, id} keys for node order)
+// and copies each span once, into its final slot. The per-level interval
+// trees are flat arrays over the begin-ordered nodes, built in one pass and
+// queried with allocation-free stabbing visits: O(n log n) key sorting plus
+// O(n) copies. A parent tie names the earliest candidate by (begin, id).
 #pragma once
 
 #include <cstddef>
@@ -102,7 +105,11 @@ class Timeline {
   [[nodiscard]] std::size_t correlated_async_count() const noexcept { return correlated_async_; }
 
   /// Launch spans with no matching execution span (or vice versa) are kept
-  /// as regular nodes; this counts them.
+  /// as regular nodes; this counts them. Only the first launch and the
+  /// first execution of a correlation id pair up, so the spans of a
+  /// repeated id (runs whose device restarted its ids) count here too.
+  /// Every input span is a node or folded into one:
+  /// spans in == size() + correlated_async_count().
   [[nodiscard]] std::size_t unmatched_async_count() const noexcept { return unmatched_async_; }
 
  private:

@@ -5,7 +5,9 @@
 //
 // Allocation counting is done by overriding the global allocation
 // functions for this test binary (they only count; behaviour is
-// unchanged). new[]/delete[] funnel through these two by default.
+// unchanged). new[]/delete[] funnel through these by default; the nothrow
+// form (std::stable_sort's temporary buffer) is replaced too, so no
+// sanitizer-runtime allocation is ever released by the free() below.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,8 +35,14 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_xsp_test_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace xsp::trace {
 namespace {

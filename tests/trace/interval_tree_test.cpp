@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "xsp/common/rng.hpp"
@@ -81,46 +82,89 @@ TEST(IntervalTree, HandlesNestedSpanStructure) {
   EXPECT_EQ(hits, (std::vector<int>{1, 11}));
 }
 
-// Property check against a brute-force oracle over random interval sets.
-class IntervalTreeRandomized : public ::testing::TestWithParam<std::uint64_t> {};
+// Property check against a brute-force oracle over random interval sets, at
+// sizes around the powers of two (a partial last subtree, a root exactly at
+// a power of two, trees deeper than the linearly scanned subtrees).
+enum class Layout { kShuffled, kSorted, kRepeatedLo };
+
+std::vector<Tree::Entry> random_entries(std::size_t n, Layout layout, SplitMix64& rng) {
+  std::vector<Tree::Entry> entries;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Repeated-lo inputs draw from 8 start points, so most starts collide.
+    const auto lo = static_cast<TimePoint>(layout == Layout::kRepeatedLo ? rng.below(8) * 1'000
+                                                                         : rng.below(10'000));
+    const auto len = static_cast<TimePoint>(rng.below(500));
+    entries.push_back({lo, lo + len, static_cast<int>(i)});
+  }
+  if (layout == Layout::kSorted) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Tree::Entry& a, const Tree::Entry& b) { return a.lo < b.lo; });
+    for (std::size_t i = 0; i < n; ++i) entries[i].value = static_cast<int>(i);
+  }
+  return entries;
+}
+
+std::vector<int> sorted_values(const std::vector<const Tree::Entry*>& hits) {
+  std::vector<int> out;
+  for (const auto* e : hits) out.push_back(e->value);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class IntervalTreeRandomized
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
 
 TEST_P(IntervalTreeRandomized, MatchesBruteForce) {
-  SplitMix64 rng(GetParam());
-  std::vector<Tree::Entry> entries;
-  const int n = 200;
-  for (int i = 0; i < n; ++i) {
-    const auto lo = static_cast<TimePoint>(rng.below(10'000));
-    const auto len = static_cast<TimePoint>(rng.below(500));
-    entries.push_back({lo, lo + len, i});
-  }
-  Tree tree(entries);
-  EXPECT_EQ(tree.size(), static_cast<std::size_t>(n));
+  const auto [n, seed] = GetParam();
+  SplitMix64 rng(seed);
+  for (const Layout layout : {Layout::kShuffled, Layout::kSorted, Layout::kRepeatedLo}) {
+    const auto entries = random_entries(n, layout, rng);
+    Tree tree(entries);
+    ASSERT_EQ(tree.size(), n);
+    EXPECT_EQ(tree.empty(), n == 0);
 
-  for (int q = 0; q < 100; ++q) {
-    const auto lo = static_cast<TimePoint>(rng.below(10'500));
-    const auto hi = lo + static_cast<TimePoint>(rng.below(300));
+    for (int q = 0; q < 100; ++q) {
+      const auto lo = static_cast<TimePoint>(rng.below(10'500));
+      const auto hi = lo + static_cast<TimePoint>(rng.below(300));
 
-    std::vector<int> expected_contain, expected_overlap;
-    for (const auto& e : entries) {
-      if (e.lo <= lo && e.hi >= hi) expected_contain.push_back(e.value);
-      if (e.lo <= hi && e.hi >= lo) expected_overlap.push_back(e.value);
+      std::vector<int> expected_contain, expected_overlap, expected_stab;
+      for (const auto& e : entries) {
+        if (e.lo <= lo && e.hi >= hi) expected_contain.push_back(e.value);
+        if (e.lo <= hi && e.hi >= lo) expected_overlap.push_back(e.value);
+        if (e.lo <= lo && e.hi >= lo) expected_stab.push_back(e.value);
+      }
+      std::sort(expected_contain.begin(), expected_contain.end());
+      std::sort(expected_overlap.begin(), expected_overlap.end());
+
+      // Stabbing visits in array order: ascending lo, input order among
+      // equal lo (values are assigned in input order).
+      std::vector<int> got_stab;
+      TimePoint prev_lo = 0;
+      int prev_value = -1;
+      tree.visit_stabbing(lo, [&](const Tree::Entry& e) {
+        EXPECT_TRUE(e.lo > prev_lo || (e.lo == prev_lo && e.value > prev_value))
+            << "visit order at n=" << n;
+        prev_lo = e.lo;
+        prev_value = e.value;
+        got_stab.push_back(e.value);
+      });
+      std::sort(got_stab.begin(), got_stab.end());
+      std::sort(expected_stab.begin(), expected_stab.end());
+
+      EXPECT_EQ(sorted_values(tree.containing(lo, hi)), expected_contain)
+          << "containing [" << lo << "," << hi << "] n=" << n;
+      EXPECT_EQ(sorted_values(tree.overlapping(lo, hi)), expected_overlap)
+          << "overlapping [" << lo << "," << hi << "] n=" << n;
+      EXPECT_EQ(got_stab, expected_stab) << "stabbing " << lo << " n=" << n;
     }
-    std::sort(expected_contain.begin(), expected_contain.end());
-    std::sort(expected_overlap.begin(), expected_overlap.end());
-
-    std::vector<int> got_contain, got_overlap;
-    for (const auto* e : tree.containing(lo, hi)) got_contain.push_back(e->value);
-    for (const auto* e : tree.overlapping(lo, hi)) got_overlap.push_back(e->value);
-    std::sort(got_contain.begin(), got_contain.end());
-    std::sort(got_overlap.begin(), got_overlap.end());
-
-    EXPECT_EQ(got_contain, expected_contain) << "containing query [" << lo << "," << hi << "]";
-    EXPECT_EQ(got_overlap, expected_overlap) << "overlapping query [" << lo << "," << hi << "]";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, IntervalTreeRandomized,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+INSTANTIATE_TEST_SUITE_P(Sizes, IntervalTreeRandomized,
+                         ::testing::Combine(::testing::Values<std::size_t>(0, 1, 2, 3, 7, 8, 9, 15,
+                                                                           16, 17, 200, 1000,
+                                                                           5000),
+                                            ::testing::Values<std::uint64_t>(1, 2, 3, 5)));
 
 TEST(IntervalTree, DegenerateAllIdenticalIntervals) {
   std::vector<Tree::Entry> entries;

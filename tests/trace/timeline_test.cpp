@@ -152,6 +152,44 @@ TEST(Timeline, UnmatchedAsyncSpansDegradeGracefully) {
   EXPECT_EQ(tl.size(), 1u);
 }
 
+TEST(Timeline, RepeatedCorrelationIdsKeepEverySpan) {
+  // Two runs assembled together after the device restarted its correlation
+  // ids: both launch/exec pairs carry id 9. The first launch and the first
+  // execution pair up; the second pair cannot be told apart from a
+  // cross-run match, so both of its spans stay as unmatched nodes.
+  std::vector<Span> spans;
+  Span launch_a = make(1, kKernelLevel, 0, 5, "launch_a");
+  launch_a.kind = SpanKind::kLaunch;
+  launch_a.correlation_id = 9;
+  Span exec_a = make(2, kKernelLevel, 10, 20, "exec_a");
+  exec_a.kind = SpanKind::kExecution;
+  exec_a.correlation_id = 9;
+  Span launch_b = make(3, kKernelLevel, 100, 105, "launch_b");
+  launch_b.kind = SpanKind::kLaunch;
+  launch_b.correlation_id = 9;
+  Span exec_b = make(4, kKernelLevel, 110, 120, "exec_b");
+  exec_b.kind = SpanKind::kExecution;
+  exec_b.correlation_id = 9;
+  spans.push_back(launch_a);
+  spans.push_back(exec_a);
+  spans.push_back(launch_b);
+  spans.push_back(exec_b);
+
+  auto tl = Timeline::assemble(spans);
+  EXPECT_EQ(tl.size(), 3u);
+  EXPECT_EQ(tl.correlated_async_count(), 1u);
+  EXPECT_EQ(tl.unmatched_async_count(), 2u);
+  EXPECT_EQ(tl.size() + tl.correlated_async_count(), spans.size());
+  ASSERT_TRUE(tl.contains(2));
+  EXPECT_TRUE(tl.node(2).is_async);
+  EXPECT_EQ(tl.node(2).launch_begin, 0);
+  EXPECT_FALSE(tl.contains(1));  // folded into exec_a
+  ASSERT_TRUE(tl.contains(3));
+  ASSERT_TRUE(tl.contains(4));
+  EXPECT_FALSE(tl.node(3).is_async);
+  EXPECT_FALSE(tl.node(4).is_async);
+}
+
 TEST(Timeline, AmbiguousParentDetectedForParallelEvents) {
   // Two identical overlapping layer spans both contain the kernel: parallel
   // execution makes the parent ambiguous, requiring a serialized re-run.
