@@ -1,19 +1,23 @@
-// Ablation: XSP binary wire v1 vs JSON streaming export.
+// Ablation: XSP binary wire vs JSON streaming export.
 //
 // The binary format exists for export throughput: JSON spends its time
 // formatting timestamps and metric doubles per span, while the binary
-// writer memcpys sealed batches and ships each interned string once via
-// StringTable cursor deltas. This bench pins the headline ratio — binary
-// encode must clear 10x the JSON streaming baseline (see
+// writer memcpys sealed batches and ships each interned string a stream
+// uses once, in StringDelta frames. This bench pins the headline ratio —
+// binary encode must clear 10x the JSON streaming baseline (see
 // bench/results/BENCH_abl_export_stream.json) — and the cost of reading
 // it back.
 //
 //   BM_ExportSpanJsonFromBatches  StreamingExporter span-JSON -> null sink
 //                                 (the JSON baseline, same shape as
 //                                 bench_abl_export_stream for comparison)
-//   BM_ExportBinaryFromBatches    BinaryWriter -> null sink, raw batches
+//   BM_ExportBinaryToString       BinaryWriter -> a reused std::string: the
+//                                 string scan, delta and every byte copied
 //   BM_ExportBinaryToSink         BinaryWriter -> FrameSink buffering path
 //                                 (what a file sink exercises, minus the OS)
+//   BM_WriterReconnect            a fresh writer per 1,000 spans over a
+//                                 ~1.5k-string table: ns and bytes per
+//                                 reconnect of a RemoteSink-style stream
 //   BM_DecodeBinaryToBatches      BinaryReader over an in-memory stream
 //   BM_RoundTripBinary            encode + decode, the replay path
 #include <benchmark/benchmark.h>
@@ -21,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "xsp/trace/export.hpp"
 #include "xsp/trace/trace_server.hpp"
@@ -87,18 +92,22 @@ void BM_ExportSpanJsonFromBatches(benchmark::State& state) {
 }
 BENCHMARK(BM_ExportSpanJsonFromBatches);
 
-void BM_ExportBinaryFromBatches(benchmark::State& state) {
+void BM_ExportBinaryToString(benchmark::State& state) {
+  // Every byte lands in one reused buffer, so the row times the encode
+  // itself: the per-span string scan, the delta and the span copies.
   const SpanBatches batches = synthetic_batches();
-  std::uint64_t bytes = 0;
+  std::string out;
+  out.reserve(kSpanCount * sizeof(Span) + 4096);
   for (auto _ : state) {
-    BinaryWriter writer([&bytes](std::string_view chunk) { bytes += chunk.size(); });
+    out.clear();
+    BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
     writer.write_batches(batches);
     writer.finish();
-    benchmark::DoNotOptimize(bytes);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpanCount));
 }
-BENCHMARK(BM_ExportBinaryFromBatches);
+BENCHMARK(BM_ExportBinaryToString);
 
 void BM_ExportBinaryToSink(benchmark::State& state) {
   // Through an ostringstream-backed FrameSink: the buffered path a file
@@ -116,6 +125,51 @@ void BM_ExportBinaryToSink(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpanCount));
 }
 BENCHMARK(BM_ExportBinaryToSink);
+
+void BM_WriterReconnect(benchmark::State& state) {
+  // A producer process whose string table holds ~1.5k strings (the
+  // fleet_ingest producers' 1,489) reconnects after every 1,000 spans; a
+  // run's spans use a 200-name slice of the table, the slice moving per
+  // reconnect. Each iteration is one reconnect: a fresh writer, its delta,
+  // 1,000 spans and the footer.
+  constexpr std::size_t kTableStrings = 1500;
+  constexpr std::size_t kSpansPerReconnect = 1000;
+  constexpr std::size_t kSliceNames = 200;
+  std::vector<StrId> names;
+  for (std::size_t i = 0; i < kTableStrings; ++i) {
+    names.emplace_back("reconnect_kernel_" + std::to_string(i));
+  }
+  std::vector<SpanBatch> runs(kTableStrings / kSliceNames);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < kSpansPerReconnect; ++i) {
+      Span s;
+      s.id = i + 1;
+      s.level = kKernelLevel;
+      s.name = names[r * kSliceNames + i % kSliceNames];
+      s.tracer = "cupti";
+      s.begin = static_cast<TimePoint>(i * 1'000);
+      s.end = s.begin + 500;
+      s.tags.set("kind", "kernel");
+      s.metrics.set("flop_count_sp", 1.0e9);
+      runs[r].push_back(s);
+    }
+  }
+  std::string out;
+  std::uint64_t bytes = 0;
+  std::size_t r = 0;
+  for (auto _ : state) {
+    out.clear();
+    BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
+    writer.write_batch(runs[r]);
+    writer.finish();
+    bytes += out.size();
+    r = (r + 1) % runs.size();
+  }
+  state.counters["bytes_per_reconnect"] =
+      static_cast<double>(bytes) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSpansPerReconnect));
+}
+BENCHMARK(BM_WriterReconnect);
 
 void BM_DecodeBinaryToBatches(benchmark::State& state) {
   const std::string encoded = encode_batches(synthetic_batches());

@@ -30,8 +30,8 @@ class StringTable {
  public:
   // Id layout: (slot << kShardBits) | shard. Shard choice follows the
   // string hash so unrelated producers rarely contend on one shard lock.
-  // Public because wire serialization walks the table in id order per
-  // shard (see Cursor / for_each_since below).
+  // Ids are dense per shard, so a bitmap over raw ids (the binary wire
+  // writer's sent-string set) stays about as small as the table.
   static constexpr std::uint32_t kShardBits = 4;
   static constexpr std::uint32_t kShardCount = 1u << kShardBits;
 
@@ -112,38 +112,6 @@ class StringTable {
   static constexpr std::size_t kApproxEntryOverhead =
       sizeof(std::string) + sizeof(std::string_view) + sizeof(std::uint32_t) * 2 +
       sizeof(void*);
-
-  /// Position in the table's per-shard intern sequences: everything a
-  /// serializer needs to remember to later ask "which strings are new
-  /// since I last looked?". Default-constructed, a cursor points at the
-  /// beginning of time — the first snapshot delivers the whole table.
-  struct Cursor {
-    std::array<std::uint32_t, kShardCount> next{};
-  };
-
-  /// Visit every (id, string) interned after `cursor` was last advanced,
-  /// then advance it past them — the string-table delta a binary wire
-  /// writer flushes before the spans that reference the new ids. Ids are
-  /// stable and strings append-only, so successive calls with one cursor
-  /// partition the table exactly once; the reserved empty string (id 0)
-  /// is never delivered. Thread-safe against concurrent intern(): a
-  /// string interned while the snapshot runs lands in this delta or the
-  /// next one, never in both and never lost. The callback runs under the
-  /// shard's shared lock — keep it cheap and do not intern from it.
-  /// `fn` is called as fn(std::uint32_t id, std::string_view s).
-  template <typename Fn>
-  void for_each_since(Cursor& cursor, Fn&& fn) const {
-    for (std::uint32_t shard_idx = 0; shard_idx < kShardCount; ++shard_idx) {
-      const Shard& shard = shards_[shard_idx];
-      std::shared_lock lk(shard.mu);
-      const auto end = static_cast<std::uint32_t>(shard.strings.size());
-      for (std::uint32_t slot = cursor.next[shard_idx]; slot < end; ++slot) {
-        const std::uint32_t id = (slot << kShardBits) | shard_idx;
-        if (id != 0) fn(id, std::string_view(shard.strings[slot]));
-      }
-      cursor.next[shard_idx] = end;
-    }
-  }
 
  private:
   /// Process-unique table generation: guards per-thread intern caches

@@ -29,8 +29,8 @@ StringTable::StringTable() : uid_(next_table_uid()) {
   // apply: a rejected intern must always have a real, stable id to
   // return. Inserted directly (not via intern()) so that, like the
   // empty string, it is excluded from the size()/approx_bytes()
-  // telemetry — but unlike id 0 it IS delivered by for_each_since,
-  // exactly once, so cross-process decoders can resolve it.
+  // telemetry — but unlike id 0 it is a string a wire stream sends like
+  // any other once a span uses it, so cross-process decoders resolve it.
   const std::size_t hash = std::hash<std::string_view>{}(kSentinel);
   const auto sentinel_shard_idx = static_cast<std::uint32_t>(hash & (kShardCount - 1));
   auto& sentinel_shard = shards_[sentinel_shard_idx];

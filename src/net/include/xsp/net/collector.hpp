@@ -6,16 +6,29 @@
 // nonblocking reads. Per connection the service keeps an RxBuffer
 // (partial-frame reassembly), a trace::WireDecoder (stream validation +
 // per-stream StrId re-interning, so two producers' interned ids can never
-// collide after ingest), and lazy span-id/correlation-id remap tables
-// that translate each producer's sink-local ids into the server's
-// fleet-wide id space. Children publish before parents in the wire
-// stream, so the remap allocates on first sight of an id — a forward
-// parent reference simply mints the server id early.
+// collide after ingest), and lazy span-id/correlation-id remaps that
+// translate each producer's sink-local ids into the server's fleet-wide
+// id space. Children publish before parents in the wire stream, so the
+// remap allocates on first sight of an id — a forward parent reference
+// simply mints the server id early.
+//
+// Remap window: each of the two remaps is a flat open-addressing table in
+// two generations, a current and an old one, of at most kRemapGeneration
+// ids each. When the current generation fills it becomes the old one and
+// the previous old one is cleared for reuse; a hit in the old generation
+// moves the id back into the current one. An id therefore stays linked
+// for at least kRemapGeneration fresh ids after its last reference, and a
+// remap never holds more than 2 x 2 x kRemapGeneration 16-byte slots
+// (8 MiB) however long its connection lives; tables start at 64 slots and
+// double, so short connections stay small. A reference to an id that fell
+// out of both generations mints a fresh fleet id: still unique, but no
+// longer linked to the earlier span.
 //
 // Per-connection memory is bounded (the I2PA always-on discipline): the
 // RxBuffer never holds more than one maximum frame (hard cap
 // max_frame_payload, default wire::kMaxFramePayload) plus a read chunk,
-// and decode scratch is reused. Hostile input — bad magic, oversized
+// decode scratch is reused, and the id remaps are windowed as above.
+// Hostile input — bad magic, oversized
 // length prefixes, unknown string ids, absurd annotation counts — throws
 // WireError inside the per-connection decode, which closes that
 // connection and increments connections_errored; the daemon itself never
@@ -49,7 +62,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "xsp/metrics/registry.hpp"
@@ -60,6 +72,15 @@
 #include "xsp/trace/wire.hpp"
 
 namespace xsp::net {
+
+/// Ids one generation of a connection's id remap holds (see "Remap
+/// window" above). Sized from the traffic: over the zoo at batch 256
+/// (both frameworks, full M/L/G profile), the largest launch->execution
+/// distance is 31,337 fresh correlation ids (SSD_MobileNet_v2: a run's
+/// GPU executions stream after all of its launches), and no parent is
+/// referenced more than 2 fresh span ids after its previous reference.
+/// 2^17 = 131,072 is 4.2x the larger figure.
+inline constexpr std::size_t kRemapGeneration = std::size_t{1} << 17;
 
 struct CollectorOptions {
   /// Hard per-connection bound on one frame's payload (and with it the

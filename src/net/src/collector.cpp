@@ -1,5 +1,6 @@
 #include "xsp/net/collector.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string_view>
@@ -32,6 +33,64 @@ std::size_t index_of(const Conns& conns, int fd) {
   return i;
 }
 
+/// Producer id -> fleet id over a window of recent ids: two generations
+/// of a flat table, linear probing, key 0 meaning empty (see "Remap
+/// window" in collector.hpp). One allocation per table growth, none per
+/// id, and freeing it is two deallocations however long the stream was.
+class IdRemap {
+ public:
+  /// The fleet id of `key`, minted with `mint()` on first sight (or after
+  /// the id left the window). Id 0 ("none") maps to 0.
+  template <typename Mint>
+  std::uint64_t map(std::uint64_t key, Mint&& mint) {
+    if (key == 0) return 0;
+    // Keep the load at most 1/2; a full-size table (2 x kRemapGeneration
+    // slots) never gets here, because it rotates at kRemapGeneration ids.
+    if (2 * cur_.size >= cur_.slots.size()) cur_.grow();
+    Slot& slot = cur_.probe(key);
+    if (slot.key == key) return slot.value;
+    const Slot* old = old_.slots.empty() ? nullptr : &old_.probe(key);
+    const std::uint64_t value = old != nullptr && old->key == key ? old->value : mint();
+    slot = {key, value};
+    if (++cur_.size == kRemapGeneration) {
+      std::swap(cur_, old_);
+      std::fill(cur_.slots.begin(), cur_.slots.end(), Slot{});
+      cur_.size = 0;
+    }
+    return value;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint64_t value = 0;
+  };
+
+  struct Generation {
+    std::vector<Slot> slots;  ///< empty or a power of two
+    std::size_t size = 0;
+
+    /// The slot holding `key`, or the empty slot that ends its probe run.
+    Slot& probe(std::uint64_t key) {
+      const std::size_t mask = slots.size() - 1;
+      auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+      while (slots[i].key != key && slots[i].key != 0) i = (i + 1) & mask;
+      return slots[i];
+    }
+
+    void grow() {
+      std::vector<Slot> prev(std::max<std::size_t>(64, 2 * slots.size()));
+      prev.swap(slots);
+      for (const Slot& s : prev) {
+        if (s.key != 0) probe(s.key) = s;
+      }
+    }
+  };
+
+  Generation cur_;
+  Generation old_;
+};
+
 }  // namespace
 
 /// Per-connection ingest state. Everything here is touched only by the
@@ -43,8 +102,8 @@ struct CollectorService::Connection {
   /// Producer-local span id -> server-wide id, allocated lazily so a
   /// child's forward reference to a not-yet-published parent mints the
   /// parent's server id early and the later parent span reuses it.
-  std::unordered_map<SpanId, SpanId> span_remap;
-  std::unordered_map<std::uint64_t, std::uint64_t> corr_remap;
+  IdRemap span_remap;
+  IdRemap corr_remap;
   trace::SpanBatch scratch;
   bool got_header = false;
   bool errored = false;  ///< hostile input or mid-frame disconnect
@@ -274,20 +333,12 @@ void CollectorService::parse_frames(Connection& conn) {
 void CollectorService::ingest_batch(Connection& conn) {
   // Strings were re-interned by the decoder; now lift the producer's
   // sink-local span/correlation ids into the server's fleet-wide space.
-  const auto map_span_id = [&conn, this](SpanId producer_id) -> SpanId {
-    if (producer_id == trace::kNoSpan) return trace::kNoSpan;
-    const auto [it, inserted] = conn.span_remap.emplace(producer_id, 0);
-    if (inserted) it->second = sink_.next_span_id();
-    return it->second;
-  };
+  const auto next_span = [this] { return sink_.next_span_id(); };
+  const auto next_corr = [this] { return sink_.next_correlation_id(); };
   for (Span& span : conn.scratch) {
-    span.id = map_span_id(span.id);
-    span.parent = map_span_id(span.parent);
-    if (span.correlation_id != 0) {
-      const auto [it, inserted] = conn.corr_remap.emplace(span.correlation_id, 0);
-      if (inserted) it->second = sink_.next_correlation_id();
-      span.correlation_id = it->second;
-    }
+    span.id = conn.span_remap.map(span.id, next_span);
+    span.parent = conn.span_remap.map(span.parent, next_span);
+    span.correlation_id = conn.corr_remap.map(span.correlation_id, next_corr);
     sink_.publish(span);
   }
   conn.spans += conn.scratch.size();

@@ -23,9 +23,9 @@
 //     than we encode) -> the next batch drops instead of encoding;
 //   - a dead connection drops the batch being written, then reconnects
 //     with capped exponential backoff. Each reconnect starts a fresh
-//     BinaryWriter — fresh stream header and a StringDelta epoch replayed
-//     from cursor zero, so the collector's new per-connection decoder is
-//     complete without any cross-connection state.
+//     BinaryWriter — fresh stream header and a fresh StringDelta epoch
+//     (each string its spans use ships again, once), so the collector's
+//     new per-connection decoder is complete without any cross-connection state.
 // Batches still queued in the outbox survive a reconnect (they re-encode
 // against the new epoch); only bytes already half-sent die with the
 // connection. The totals surface live in the wire Heartbeat frames (the

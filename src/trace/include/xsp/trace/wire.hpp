@@ -4,8 +4,8 @@
 // The JSON path (StreamingExporter) tops out around 2.8M spans/s because
 // every span is re-formatted as text. Spans are trivially copyable fixed-size
 // PODs whose strings are interned 32-bit StrIds, so the binary format moves
-// whole sealed batches with memcpy and ships string bytes exactly once, as
-// deltas of the process-wide StringTable — an order of magnitude more
+// whole sealed batches with memcpy and ships the bytes of each string a
+// stream uses exactly once, as StringDelta frames — an order of magnitude more
 // throughput through the same drain-subscriber seam, and the on-disk /
 // on-socket format a cross-process collector daemon will speak (ROADMAP:
 // cross-process trace ingestion).
@@ -17,11 +17,12 @@
 //                    length-prefixed frames (StringDelta, SpanBatch,
 //                    Footer), all little-into-host-endian POD structs.
 //   BinaryWriter   — drain-subscriber-compatible encoder: per flush, a
-//                    StringDelta frame carrying only interns new since the
-//                    last flush (StringTable::for_each_since cursor), then
-//                    one SpanBatch frame per sealed batch (payload is the
-//                    batch memcpy'd whole). finish() appends a Footer frame
-//                    with the collection telemetry (TraceMeta).
+//                    StringDelta frame carrying only the strings these
+//                    spans use that this writer has not sent yet (a
+//                    bitmap over raw StrIds), then one SpanBatch frame per
+//                    sealed batch (payload is the batch memcpy'd whole).
+//                    finish() appends a Footer frame with the collection
+//                    telemetry (TraceMeta).
 //   BinaryReader   — validating decoder: checks magic/version/endianness/
 //                    span-size, bounds every length prefix, re-interns the
 //                    deltas into this process's StringTable and rewrites
@@ -47,6 +48,7 @@
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "xsp/common/string_table.hpp"
 #include "xsp/metrics/registry.hpp"
@@ -254,7 +256,8 @@ inline constexpr std::size_t kMaxSpansPerFrame = 4096;
 
 enum class FrameType : std::uint8_t {
   /// Payload: repeated { u32 string_id, u32 byte_len, byte_len bytes } —
-  /// the producer-table interns new since the previous delta.
+  /// producer-table strings the following spans use, each sent once per
+  /// stream, before its first use.
   kStringDelta = 1,
   /// Payload: u32 span_count, then span_count * sizeof(Span) raw span
   /// bytes (one memcpy of a sealed publication batch).
@@ -380,7 +383,8 @@ static_assert(rows_follow_declaration_order<Heartbeat>(kHeartbeatFields),
 /// Memory: allocation count is independent of span count (pinned by
 /// BinaryWire.WriterAllocationIsIndependentOfSpanCount) — span payloads
 /// hand the batch memory straight to the sink, the string-delta scratch is
-/// reused across flushes, and the FrameSink buffer is bounded.
+/// reused across flushes, the sent-string bitmap grows only with the
+/// highest StrId used, and the FrameSink buffer is bounded.
 class BinaryWriter {
  public:
   explicit BinaryWriter(FrameSink::WriteFn sink);
@@ -397,7 +401,9 @@ class BinaryWriter {
   BinaryWriter(const BinaryWriter&) = delete;
   BinaryWriter& operator=(const BinaryWriter&) = delete;
 
-  /// Emit the pending string delta, then the batch as SpanBatch frames.
+  /// Emit the strings the batch uses that this writer (a new one starts
+  /// empty) has not sent yet, then the batch as SpanBatch frames. Span
+  /// StrIds resolve in the global table (std::out_of_range otherwise).
   void write_batch(const SpanBatch& batch);
 
   /// Write every batch of a batch list — the drain-subscriber shape.
@@ -436,14 +442,17 @@ class BinaryWriter {
   [[nodiscard]] std::size_t sink_pending_bytes() const;
 
  private:
-  void append_string_delta_locked();
+  /// StringDelta frames: unsent strings the spans of [first, last) use.
+  void append_string_delta_locked(const SpanBatch* first, const SpanBatch* last);
   void append_span_frames_locked(const SpanBatch& batch);
 
   FrameSink sink_;
   mutable std::mutex mu_;
-  common::StringTable::Cursor cursor_;
+  /// Bit `id` set once string `id` rode a delta of this stream; bit 0,
+  /// the empty string every reader knows, from the start.
+  std::vector<std::uint64_t> sent_ = {1};
   /// Frame-assembly scratch, reused across flushes; capacity is bounded
-  /// by the largest single delta, not by stream length.
+  /// by the soft delta cap plus one entry, not by stream length.
   std::string scratch_;
   bool finished_ = false;
   std::uint64_t spans_written_ = 0;

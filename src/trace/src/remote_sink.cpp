@@ -151,8 +151,8 @@ bool RemoteSink::connect_once(Conn& conn) {
   if (!sock.valid()) return false;
   conn.sock = std::move(sock);
   conn.spans_in_flight = 0;
-  // Fresh writer = fresh stream header + StringDelta epoch from cursor
-  // zero: the collector's new per-connection decoder sees every string.
+  // Fresh writer = fresh stream header + StringDelta epoch: the collector's
+  // new per-connection decoder sees every string these spans use.
   net::Socket* raw = &conn.sock;
   conn.writer = std::make_unique<BinaryWriter>(
       FrameSink::TryWriteFn(

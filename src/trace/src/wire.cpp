@@ -150,14 +150,13 @@ BinaryWriter::~BinaryWriter() {
   }
 }
 
-void BinaryWriter::append_string_delta_locked() {
+void BinaryWriter::append_string_delta_locked(const SpanBatch* first, const SpanBatch* last) {
   // Delta framing: entries accumulate in scratch_ and are cut into a
-  // frame whenever the soft cap is passed, so one flush after a huge
-  // intern burst (the first flush ships the whole table) still emits
-  // bounded frames. The frame header is patched in at cut time.
+  // frame whenever the soft cap is passed, so a batch list that uses many
+  // new strings still emits bounded frames.
   constexpr std::size_t kSoftDeltaPayload = 256 * 1024;
   scratch_.clear();
-  auto cut_frame = [this] {
+  const auto cut_frame = [this] {
     if (scratch_.empty()) return;
     wire::FrameHeader fh{};
     fh.type = static_cast<std::uint8_t>(wire::FrameType::kStringDelta);
@@ -166,14 +165,34 @@ void BinaryWriter::append_string_delta_locked() {
     sink_.write(scratch_);
     scratch_.clear();
   };
-  common::StringTable::global().for_each_since(
-      cursor_, [this, &cut_frame](std::uint32_t id, std::string_view s) {
-        const auto len = static_cast<std::uint32_t>(s.size());
-        append_raw(scratch_, &id, sizeof id);
-        append_raw(scratch_, &len, sizeof len);
-        scratch_.append(s.data(), s.size());
-        if (scratch_.size() >= kSoftDeltaPayload) cut_frame();
-      });
+  const auto send = [this, &cut_frame](std::uint32_t raw) {
+    const std::string_view s = common::StringTable::global().view(raw);
+    if (raw / 64 >= sent_.size()) sent_.resize(raw / 64 + 1);
+    sent_[raw / 64] |= std::uint64_t{1} << (raw % 64);
+    const auto len = static_cast<std::uint32_t>(s.size());
+    append_raw(scratch_, &raw, sizeof raw);
+    append_raw(scratch_, &len, sizeof len);
+    scratch_.append(s.data(), s.size());
+    if (scratch_.size() >= kSoftDeltaPayload) cut_frame();
+  };
+  // Bit 0 (the empty string, implicit on both sides) is set at
+  // construction, so the common case is one load and one test.
+  const auto note = [this, &send](common::StrId id) {
+    const std::uint32_t raw = id.raw();
+    if (raw / 64 >= sent_.size() || ((sent_[raw / 64] >> (raw % 64)) & 1) == 0) send(raw);
+  };
+  for (; first != last; ++first) {
+    for (const Span& span : *first) {
+      note(span.name);
+      note(span.tracer);
+      for (const auto& [key, value] : span.tags) {
+        note(key);
+        note(value);
+      }
+      for (const auto& entry : span.metrics) note(entry.key);
+      for (const auto& entry : span.inline_tags) note(entry.key);
+    }
+  }
   cut_frame();
 }
 
@@ -206,7 +225,7 @@ void BinaryWriter::write_batch(const SpanBatch& batch) {
   // debug, drop in release — never corrupt an already-footered stream.
   assert(!finished_ && "BinaryWriter: write after finish()");
   if (finished_) return;
-  append_string_delta_locked();
+  append_string_delta_locked(&batch, &batch + 1);
   append_span_frames_locked(batch);
 }
 
@@ -215,10 +234,8 @@ void BinaryWriter::write_batches(const SpanBatches& batches) {
   std::lock_guard lk(mu_);
   assert(!finished_ && "BinaryWriter: write after finish()");
   if (finished_) return;
-  // One delta covers the whole batch list: every string these spans
-  // reference was interned before they were published, which
-  // happened-before this drain delivery.
-  append_string_delta_locked();
+  // One delta covers the whole batch list, ahead of its first span frame.
+  append_string_delta_locked(batches.data(), batches.data() + batches.size());
   for (const SpanBatch& batch : batches) {
     if (!batch.empty()) append_span_frames_locked(batch);
   }

@@ -129,42 +129,6 @@ TEST(StringTableBudget, SentinelStableAndAccountingExactAcrossThreads) {
   EXPECT_EQ(table.size(), 0u);
 }
 
-TEST(StringTableBudget, ForEachSinceDeliversSentinelExactlyOnce) {
-  StringTable table;
-  table.intern("alpha");
-  table.set_budget_bytes(1);
-  table.intern("rejected-one");
-  table.intern("rejected-two");
-
-  StringTable::Cursor cursor;
-  std::vector<std::pair<std::uint32_t, std::string>> delivered;
-  table.for_each_since(cursor, [&](std::uint32_t id, std::string_view s) {
-    delivered.emplace_back(id, std::string(s));
-  });
-  // First snapshot: the sentinel (a real entry the wire must ship) plus
-  // "alpha"; rejected strings were never interned so never appear.
-  std::size_t sentinel_count = 0;
-  bool saw_alpha = false;
-  for (const auto& [id, s] : delivered) {
-    if (id == table.sentinel_id()) {
-      EXPECT_EQ(s, StringTable::kSentinel);
-      ++sentinel_count;
-    }
-    if (s == "alpha") saw_alpha = true;
-    EXPECT_NE(s, "rejected-one");
-    EXPECT_NE(s, "rejected-two");
-  }
-  EXPECT_EQ(sentinel_count, 1u);
-  EXPECT_TRUE(saw_alpha);
-
-  // Later deltas — even after more rejections resolve to the sentinel —
-  // must not deliver it again: it was already shipped once.
-  table.intern("rejected-three");
-  std::size_t second_delta = 0;
-  table.for_each_since(cursor, [&](std::uint32_t, std::string_view) { ++second_delta; });
-  EXPECT_EQ(second_delta, 0u);
-}
-
 TEST(StringTableSlotGuard, SaturatesToSentinelAtSlotCeiling) {
   StringTable table;
   // A ceiling of 2 slots/shard stands in for the real 2^28 one: the guard

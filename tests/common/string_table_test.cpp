@@ -131,69 +131,6 @@ TEST(FlatMap, DropsBeyondCapacityAndReportsIt) {
   EXPECT_DOUBLE_EQ(m.at("a"), 9);
 }
 
-TEST(StringTableCursor, FreshCursorDeliversEveryStringExactlyOnce) {
-  StringTable& table = StringTable::global();
-  const std::uint32_t a = table.intern("cursor_test_alpha_unique");
-  const std::uint32_t b = table.intern("cursor_test_beta_unique");
-  StringTable::Cursor cursor;
-  std::size_t delivered = 0;
-  bool saw_a = false;
-  bool saw_b = false;
-  table.for_each_since(cursor, [&](std::uint32_t id, std::string_view s) {
-    EXPECT_NE(id, 0u) << "cursor delivered reserved id 0";
-    EXPECT_EQ(table.view(id), s);
-    saw_a |= id == a;
-    saw_b |= id == b;
-    ++delivered;
-  });
-  EXPECT_TRUE(saw_a);
-  EXPECT_TRUE(saw_b);
-  EXPECT_GE(delivered, 2u);  // whole table: everything interned so far
-
-  // The cursor advanced past everything: a second sweep is empty.
-  const std::size_t after_full_sweep = delivered;
-  table.for_each_since(cursor, [&](std::uint32_t, std::string_view) { ++delivered; });
-  EXPECT_EQ(delivered, after_full_sweep);
-
-  // Only strings interned after the last sweep ride the next delta.
-  const std::uint32_t c = table.intern("cursor_test_gamma_unique");
-  std::vector<std::uint32_t> fresh;
-  table.for_each_since(cursor,
-                       [&](std::uint32_t id, std::string_view) { fresh.push_back(id); });
-  ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(fresh[0], c);
-
-  // Re-interning an existing string advances nothing.
-  (void)table.intern("cursor_test_alpha_unique");
-  fresh.clear();
-  table.for_each_since(cursor,
-                       [&](std::uint32_t id, std::string_view) { fresh.push_back(id); });
-  EXPECT_TRUE(fresh.empty());
-}
-
-TEST(StringTableCursor, IndependentCursorsTrackIndependently) {
-  StringTable& table = StringTable::global();
-  StringTable::Cursor first;
-  table.for_each_since(first, [](std::uint32_t, std::string_view) {});
-  const std::uint32_t fresh = table.intern("cursor_test_independent_unique");
-
-  StringTable::Cursor second;  // starts from the beginning
-  bool second_saw_fresh = false;
-  std::size_t second_total = 0;
-  table.for_each_since(second, [&](std::uint32_t id, std::string_view) {
-    second_saw_fresh |= id == fresh;
-    ++second_total;
-  });
-  EXPECT_TRUE(second_saw_fresh);
-  EXPECT_GT(second_total, 1u);
-
-  std::vector<std::uint32_t> first_delta;
-  table.for_each_since(first,
-                       [&](std::uint32_t id, std::string_view) { first_delta.push_back(id); });
-  ASSERT_EQ(first_delta.size(), 1u);
-  EXPECT_EQ(first_delta[0], fresh);
-}
-
 TEST(FlatMap, IterationPreservesInsertionOrder) {
   FlatMap<StrId, 4> m;
   m.set("grid", "[4,1,1]");

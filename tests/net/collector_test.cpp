@@ -2,7 +2,8 @@
 // path exercised in-process over real sockets. Covers the acceptance
 // criteria of the collector tentpole — a 4-producer fleet assembling the
 // same per-producer timelines remote as in-process, colliding fabricated
-// StrIds never cross-contaminating after remap — plus the connection
+// StrIds never cross-contaminating after remap, the windowed id remaps
+// holding their links with a flat live heap — plus the connection
 // lifecycle: truncated frames, hostile bytes, reconnect with a fresh
 // StringDelta epoch, and a daemon killed mid-stream leaving producers
 // alive with every loss accounted.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "net_test_util.hpp"
+#include "test_heap_bytes.hpp"
 #include "xsp/metrics/exposition.hpp"
 #include "xsp/net/endpoint.hpp"
 #include "xsp/net/socket.hpp"
@@ -342,6 +344,132 @@ TEST(CollectorE2E, CollidingFabricatedStrIdsNeverCrossContaminate) {
   EXPECT_EQ(stats.connections_errored, 0u);
 }
 
+/// Producer stream of the remap-window test. Span k (1-based) has id k,
+/// its parent is span k + kParentAhead (children publish before parents),
+/// and it launches correlation id k — except every 8th span, which is the
+/// execution of span k - kExecLag's launch. Every kRootEvery-th span is a
+/// child of kRoot instead, an id no span has, referenced for the whole
+/// stream at gaps shorter than one generation. span.begin carries k.
+constexpr std::uint64_t kParentAhead = 3;
+constexpr std::uint64_t kExecLag = 4001;  // odd: the launch is never an 8th span
+constexpr std::uint64_t kRootEvery = 50000;
+constexpr SpanId kRoot = SpanId{1} << 40;
+
+Span window_span(std::uint64_t k, StrId name, StrId tracer) {
+  Span s;
+  s.id = k;
+  s.parent = k % kRootEvery == 0 ? kRoot : k + kParentAhead;
+  s.name = name;
+  s.tracer = tracer;
+  s.begin = static_cast<TimePoint>(k);
+  s.end = s.begin + 1;
+  const bool exec = k % 8 == 0;
+  s.kind = exec ? trace::SpanKind::kExecution : trace::SpanKind::kLaunch;
+  s.correlation_id = !exec ? k : k > kExecLag ? k - kExecLag : 0;
+  return s;
+}
+
+/// Ingest sink of the remap-window test: keeps no spans. In a fixed ring
+/// it remembers the fleet ids of recent producer spans and counts whether
+/// each parent edge and launch/execution pair resolved to its partner.
+class WindowCheckSink final : public trace::SpanSink {
+ public:
+  SpanId next_span_id() noexcept override { return ++span_ids_; }
+  std::uint64_t next_correlation_id() noexcept override { return ++corr_ids_; }
+
+  void publish(Span span) override {
+    const auto k = static_cast<std::uint64_t>(span.begin);
+    ring_[k % kRing] = {span.parent, span.correlation_id};
+    if (k == 1) first_id = span.id;
+    last_parent = span.parent;
+    if (k % kRootEvery == 0) {
+      if (root == 0) root = span.parent;
+      ++(span.parent == root ? roots_ok : roots_bad);
+    }
+    if (k > kParentAhead && (k - kParentAhead) % kRootEvery != 0) {
+      ++(ring_[(k - kParentAhead) % kRing].parent == span.id ? parents_ok : parents_bad);
+    }
+    if (k % 8 == 0 && k > kExecLag) {
+      ++(ring_[(k - kExecLag) % kRing].corr == span.correlation_id ? pairs_ok : pairs_bad);
+    }
+  }
+
+  SpanId first_id = 0;
+  SpanId last_parent = 0;
+  SpanId root = 0;  ///< fleet id kRoot mapped to on first sight
+  std::uint64_t parents_ok = 0, parents_bad = 0, pairs_ok = 0, pairs_bad = 0;
+  std::uint64_t roots_ok = 0, roots_bad = 0;
+
+ private:
+  static constexpr std::uint64_t kRing = 8192;  // > kExecLag
+  struct Seen {
+    SpanId parent = 0;
+    std::uint64_t corr = 0;
+  };
+  std::vector<Seen> ring_ = std::vector<Seen>(kRing);
+  SpanId span_ids_ = 0;
+  std::uint64_t corr_ids_ = 0;
+};
+
+TEST(CollectorE2E, IdRemapsHoldAWindowAndLiveHeapStaysFlat) {
+  // One connection streams 8 generations of fresh span and correlation
+  // ids. Every reference inside the window resolves, and an id referenced
+  // at gaps under one generation stays linked for the whole stream (a hit
+  // in the old generation moves it back into the current one); the daemon's live
+  // heap after 8 generations matches the heap after 2, when both remap
+  // generations already reached full size (the unbounded maps grew by
+  // tens of MB here).
+  const Endpoint ep = uds_endpoint("col_window");
+  WindowCheckSink sink;
+  CollectorService service(ep, sink);
+  std::thread loop([&service] { service.run(); });
+
+  Socket sock = try_connect(ep, 1000);
+  ASSERT_TRUE(sock.valid());
+  trace::BinaryWriter writer(
+      [&sock](std::string_view chunk) { ASSERT_TRUE(send_all(sock, chunk)); });
+  const StrId name("remap_window_op");
+  const StrId tracer("remap_window");
+  std::uint64_t k = 0;
+  trace::SpanBatch batch;
+  const auto stream_until = [&](std::uint64_t last) {
+    while (k < last) {
+      batch.clear();
+      while (batch.size() < 1024 && k < last) batch.push_back(window_span(++k, name, tracer));
+      writer.write_batch(batch);
+    }
+    writer.flush();
+    return wait_until([&] { return service.stats().spans_ingested == last; }, 120000);
+  };
+
+  ASSERT_TRUE(stream_until(2 * kRemapGeneration));
+  const std::int64_t heap_at_2g = g_xsp_test_live_heap_bytes.load();
+  ASSERT_TRUE(stream_until(8 * kRemapGeneration));
+  const std::int64_t heap_at_8g = g_xsp_test_live_heap_bytes.load();
+  // A reference to an id older than two generations: a fresh fleet id.
+  Span stale = window_span(++k, name, tracer);
+  stale.parent = 1;
+  writer.write_batch({stale});
+  writer.finish();
+  sock.shutdown_write();
+  (void)read_to_eof(sock);  // daemon ack
+  service.stop();
+  loop.join();
+
+  EXPECT_LT(heap_at_8g - heap_at_2g, std::int64_t{1} << 20)
+      << "live heap grew from " << heap_at_2g << " to " << heap_at_8g << " bytes";
+  EXPECT_EQ(sink.parents_bad, 0u);
+  EXPECT_EQ(sink.parents_ok, k - kParentAhead - (k - kParentAhead) / kRootEvery);
+  // An id referenced within every generation never leaves the window.
+  EXPECT_EQ(sink.roots_bad, 0u);
+  EXPECT_EQ(sink.roots_ok, k / kRootEvery);
+  EXPECT_EQ(sink.pairs_bad, 0u);
+  EXPECT_EQ(sink.pairs_ok, k / 8 - kExecLag / 8);
+  EXPECT_NE(sink.last_parent, 0u);
+  EXPECT_NE(sink.last_parent, sink.first_id);
+  EXPECT_EQ(service.stats().connections_errored, 0u);
+}
+
 TEST(CollectorE2E, TruncatedFrameErrorsConnectionAndDaemonServesOn) {
   const Endpoint ep = uds_endpoint("col_trunc");
   RunningCollector collector(ep);
@@ -529,23 +657,36 @@ TEST(RemoteSinkLifecycle, ReconnectOpensFreshStreamAndStringDeltaEpoch) {
   ASSERT_TRUE(conn_b.valid());
   EXPECT_EQ(sink.reconnects(), 1u);
 
-  // The new connection is a complete stream on its own: fresh header,
-  // and the delta epoch restarts from cursor zero — a string already
-  // shipped on connection A ships again.
-  std::string b_bytes;
-  ASSERT_TRUE(read_until_contains(conn_b, b_bytes, "epoch_marker_string"))
-      << "reconnect must replay the string table from scratch";
-  ASSERT_GE(b_bytes.size(), sizeof(trace::wire::Header));
-  EXPECT_EQ(b_bytes.compare(0, 4, "XSPB"), 0);
+  // One more filler after the reconnect, so connection B surely carries
+  // a span that uses epoch_filler and epoch_tracer.
+  Span last;
+  last.id = sink.next_span_id();
+  last.name = StrId("epoch_filler");
+  last.tracer = StrId("epoch_tracer");
+  last.begin = 4;
+  last.end = 5;
+  sink.publish(last);
 
   // Ack the close handshake so close() returns via the protocol, not the
   // timeout: consume to EOF (the footer) then close our end.
+  std::string b_bytes;
   std::thread acker([&] {
-    (void)read_to_eof(conn_b);
+    b_bytes = read_to_eof(conn_b);
     conn_b.close();
   });
   sink.close();
   acker.join();
+
+  // The new connection is a complete stream on its own: fresh header and
+  // a fresh delta epoch. It re-sends the strings its own spans use, even
+  // the tracer connection A already carried, and nothing else: the
+  // marker string, used only by A's span, stays off B.
+  ASSERT_GE(b_bytes.size(), sizeof(trace::wire::Header));
+  EXPECT_EQ(b_bytes.compare(0, 4, "XSPB"), 0);
+  EXPECT_NE(b_bytes.find("epoch_tracer"), std::string::npos);
+  EXPECT_NE(b_bytes.find("epoch_filler"), std::string::npos);
+  EXPECT_EQ(b_bytes.find("epoch_marker_string"), std::string::npos)
+      << "a reconnect sends only the strings the new stream's spans use";
 }
 
 TEST(RemoteSinkLifecycle, DaemonDeathLeavesProducerAliveWithAccountedDrops) {

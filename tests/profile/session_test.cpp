@@ -282,6 +282,29 @@ TEST(Session, StreamExportBinaryRoundTripsThroughBinaryReader) {
   std::remove(opts.stream_export_path.c_str());
 }
 
+TEST(Session, FullProfileBinaryExportDecodesToTheSameSpans) {
+  // Every level, GPU metrics and kernel tags: the stream's deltas carry
+  // only the strings its spans use, and that must be every one of them —
+  // the decoded spans assemble into the live run's timeline exactly.
+  Session s(sim::tesla_v100(), framework::FrameworkKind::kTFlow);
+  auto opts = ProfileOptions::full(true);
+  opts.trace_shards = 2;
+  opts.stream_export_path = ::testing::TempDir() + "xsp_stream_full.xspb";
+  opts.stream_export_format = trace::ExportFormat::kBinary;
+  const auto run = s.profile(small_graph(), opts);
+
+  std::istringstream in(read_file(opts.stream_export_path));
+  trace::BinaryReader reader(in);
+  const trace::SpanBatches decoded = reader.read_all();
+  EXPECT_TRUE(reader.saw_footer());
+  EXPECT_EQ(reader.spans_read(), run.streamed_spans);
+  EXPECT_GT(reader.strings_reinterned(), 0u);
+  const trace::Timeline replay = trace::Timeline::assemble(trace::flatten_batches(decoded));
+  EXPECT_EQ(replay.size(), run.timeline.size());
+  EXPECT_EQ(trace::to_span_json(replay), trace::to_span_json(run.timeline));
+  std::remove(opts.stream_export_path.c_str());
+}
+
 TEST(Session, WorkerThreadSlotsAreReclaimedAcrossRuns) {
   // The long-lived-service shape at the session layer: run N happens on a
   // worker thread that then dies; the reused fleet must shed that

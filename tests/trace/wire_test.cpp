@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "json_check.hpp"
@@ -421,6 +423,127 @@ TEST(BinaryWire, RepeatedDeltaEntryWithSameBytesIsIdempotent) {
   BinaryReader reader(in);
   EXPECT_TRUE(reader.read_all().empty());
   EXPECT_EQ(reader.strings_reinterned(), 1u);
+}
+
+/// Every (id, string) entry of every StringDelta frame in a writer's
+/// output, in stream order, plus the number of delta frames.
+struct DeltaLog {
+  std::vector<std::pair<std::uint32_t, std::string>> entries;
+  std::size_t frames = 0;
+};
+
+DeltaLog delta_log(const std::string& bytes) {
+  DeltaLog log;
+  std::size_t off = sizeof(wire::Header);
+  while (off + sizeof(wire::FrameHeader) <= bytes.size()) {
+    wire::FrameHeader fh{};
+    std::memcpy(&fh, bytes.data() + off, sizeof fh);
+    off += sizeof fh;
+    if (fh.type == static_cast<std::uint8_t>(wire::FrameType::kStringDelta)) {
+      ++log.frames;
+      for (std::size_t at = off; at < off + fh.payload_size;) {
+        std::uint32_t id = 0;
+        std::uint32_t len = 0;
+        std::memcpy(&id, bytes.data() + at, sizeof id);
+        std::memcpy(&len, bytes.data() + at + sizeof id, sizeof len);
+        at += sizeof id + sizeof len;
+        log.entries.emplace_back(id, bytes.substr(at, len));
+        at += len;
+      }
+    }
+    off += fh.payload_size;
+  }
+  return log;
+}
+
+TEST(BinaryWire, DeltaCarriesOnlyReferencedStringsEachOncePerWriter) {
+  // Interned but used by no span: a writer must never send it.
+  const StrId unused("wire_used_by_no_span_zork");
+  Span s = make_span(1, 0);
+  s.name = "wire_ref_name";
+  s.tracer = "wire_ref_tracer";
+  s.tags.set("wire_ref_tag_key", "wire_ref_tag_value");
+  s.metrics.set("wire_ref_metric_key", 1.5);
+  s.inline_tags.set("wire_ref_inline_key", "inline bytes, not in delta");
+  const std::vector<std::string> used = {"wire_ref_name",      "wire_ref_tracer",
+                                         "wire_ref_tag_key",   "wire_ref_tag_value",
+                                         "wire_ref_metric_key", "wire_ref_inline_key"};
+
+  const auto stream = [&] {
+    std::string out;
+    BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
+    writer.write_batch({s});
+    Span again = make_span(2, 10);
+    again.name = s.name;
+    again.tracer = s.tracer;
+    writer.write_batches(SpanBatches{SpanBatch{again, s}});  // nothing new: no delta
+    writer.finish();
+    return out;
+  };
+  const std::string first = stream();
+  const DeltaLog log = delta_log(first);
+  EXPECT_EQ(log.frames, 1u);
+  std::vector<std::string> sent;
+  for (const auto& [id, str] : log.entries) {
+    EXPECT_EQ(common::StringTable::global().view(id), str) << "delta entry id and bytes disagree";
+    sent.push_back(str);
+  }
+  std::vector<std::string> want = used;
+  std::sort(want.begin(), want.end());
+  std::sort(sent.begin(), sent.end());
+  EXPECT_EQ(sent, want) << "exactly the strings the spans use, each once";
+  EXPECT_EQ(first.find(unused.view()), std::string::npos);
+
+  // A second writer is a new stream: it sends the same strings again.
+  EXPECT_EQ(delta_log(stream()).entries, log.entries);
+
+  const SpanBatches decoded = decode(first);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0][0].tag_or("wire_ref_tag_key"), "wire_ref_tag_value");
+  EXPECT_EQ(decoded[0][0].metric_or("wire_ref_metric_key", 0), 1.5);
+  EXPECT_EQ(decoded[1][1].inline_tags.value_or("wire_ref_inline_key"),
+            "inline bytes, not in delta");
+}
+
+TEST(BinaryWire, SentinelShipsWhenASpanUsesItAndRejectionCountsStayExact) {
+  common::StringTable& table = common::StringTable::global();
+  Span s = make_span(1, 0);  // interns its strings before the budget bites
+  const StrId key("wire_sentinel_key");
+  const std::uint64_t rejected_before = table.rejected_interns();
+  // Budget at current usage: every new string from here is rejected.
+  table.set_budget_bytes(table.approx_bytes());
+  const StrId capped_name("wire_sentinel_rejected_name");
+  const StrId capped_value("wire_sentinel_rejected_value");
+  const std::uint64_t rejected_by_test = table.rejected_interns() - rejected_before;
+  ASSERT_EQ(capped_name.raw(), table.sentinel_id());
+  ASSERT_EQ(capped_value.raw(), table.sentinel_id());
+
+  std::string out;
+  {
+    BinaryWriter writer([&out](std::string_view chunk) { out.append(chunk); });
+    s.name = capped_name;
+    s.tags.set(key, capped_value);
+    writer.write_batch({s, s});
+    writer.finish();
+  }
+  std::size_t sentinel_entries = 0;
+  for (const auto& [id, str] : delta_log(out).entries) {
+    if (id == table.sentinel_id()) {
+      EXPECT_EQ(str, common::StringTable::kSentinel);
+      ++sentinel_entries;
+    }
+  }
+  EXPECT_EQ(sentinel_entries, 1u);
+
+  const SpanBatches decoded = decode(out);
+  table.set_budget_bytes(0);
+  ASSERT_EQ(decoded.size(), 1u);
+  ASSERT_EQ(decoded[0].size(), 2u);
+  EXPECT_EQ(decoded[0][1].name, common::StringTable::kSentinel);
+  EXPECT_EQ(decoded[0][1].tag_or(key), common::StringTable::kSentinel);
+  // Writing and re-interning the stream rejected nothing more.
+  EXPECT_EQ(table.rejected_interns() - rejected_before, rejected_by_test);
+  EXPECT_EQ(rejected_by_test, 2u);
 }
 
 // --- drain-subscriber integration -------------------------------------------
